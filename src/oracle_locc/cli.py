@@ -28,6 +28,7 @@ import numpy as np
 from .locc import run_locc_all_branches, run_locc, ab_substate
 from .netsim import DEFAULT_TIMEOUT, TransportError, connect_socket, run_in_process, serve_socket
 from .oracle import (
+    MAX_DENSE_ORACLE_DIM,
     FunctionTable,
     all_function_tables,
     all_permutations,
@@ -60,6 +61,14 @@ DEVIATION_TOL = 1e-10
 
 class CliError(Exception):
     """Configuration or usage problem; maps to exit code 2."""
+
+
+def load_dense_table(source: str) -> FunctionTable:
+    """Parse --f for the subcommands that build the dense M*N oracle matrix."""
+    f = load_function_table(source)
+    if f.M * f.N > MAX_DENSE_ORACLE_DIM:
+        raise CliError(f"M*N = {f.M * f.N} exceeds the dense oracle cap of {MAX_DENSE_ORACLE_DIM}")
+    return f
 
 
 def load_function_table(source: str) -> FunctionTable:
@@ -113,7 +122,8 @@ class _Check:
 
     def record(self, deviation: float, count: int = 1) -> None:
         self.cases += count
-        self.max_deviation = max(self.max_deviation, float(deviation))
+        # np.maximum keeps a NaN (max() would drop it), so the check then fails.
+        self.max_deviation = float(np.maximum(self.max_deviation, deviation))
 
     def result(self) -> CheckResult:
         return CheckResult(self.name, self.cases, self.max_deviation,
@@ -254,7 +264,7 @@ def _check_minimal_oracle(max_degree: int = 4) -> CheckResult:
 def cmd_verify(args) -> int:
     rng = np.random.default_rng(args.seed)
     if args.f is not None:
-        tables = [load_function_table(args.f)]
+        tables = [load_dense_table(args.f)]
     else:
         if args.max_m < 1 or args.max_n < 1:
             raise CliError("--max-m and --max-n must be at least 1")
@@ -296,7 +306,7 @@ def cmd_verify(args) -> int:
 # --- capacities -----------------------------------------------------------
 
 def cmd_capacities(args) -> int:
-    f = load_function_table(args.f)
+    f = load_dense_table(args.f)
     partition = build_partition(f)
     _, ebits = entangle_protocol(f)
     report = {

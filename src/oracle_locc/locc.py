@@ -46,7 +46,6 @@ from .oracle import (
 )
 from .quantum import (
     LocalOperator,
-    MeasurementRecord,
     StateVector,
     apply_local,
     collapse,
@@ -75,7 +74,8 @@ class ScriptStep:
     step is the protocol step number for quantum actions and None for the
     two classical sends; operation names the operator builder so remote
     endpoints can rebuild the matrix once outcome-dependent values are
-    known (depends_on marks which received value is needed).
+    known (depends_on marks which received value is needed).  value names
+    the classical value a measure produces or a send carries.
     """
 
     step: int | None
@@ -85,6 +85,7 @@ class ScriptStep:
     targets: tuple[str, ...]
     description: str
     depends_on: str | None = None  # "r" | "s" for outcome-dependent operators
+    value: str | None = None  # "r" | "s" for measures and sends
 
 
 @dataclass(frozen=True)
@@ -262,36 +263,6 @@ def build_step_operator(f: FunctionTable, operation: str, value: int | None = No
     return builder(f)
 
 
-# --- step functions over full states -------------------------------------
-
-def step1_controlled_shift(f: FunctionTable, state: StateVector) -> StateVector:
-    return apply_local(state, step1_operator(f))
-
-
-def step2_measure(state: StateVector, rng: np.random.Generator | int) -> MeasurementRecord:
-    return measure_computational(state, "a", rng)
-
-
-def step3_bob_shift(f: FunctionTable, state: StateVector, r: int) -> StateVector:
-    return apply_local(state, step3_operator(f, r))
-
-
-def step4_local_oracle(f: FunctionTable, state: StateVector) -> StateVector:
-    return apply_local(state, step4_operator(f))
-
-
-def step5_dft(f: FunctionTable, state: StateVector) -> StateVector:
-    return apply_local(state, step5_operator(f))
-
-
-def step6_measure(state: StateVector, rng: np.random.Generator | int) -> MeasurementRecord:
-    return measure_computational(state, "b", rng)
-
-
-def step7_phase_fix(f: FunctionTable, state: StateVector, s: int) -> StateVector:
-    return apply_local(state, step7_operator(f, s))
-
-
 # --- script and transcript -----------------------------------------------
 
 def build_locc_script(f: FunctionTable) -> tuple[ScriptStep, ...]:
@@ -304,9 +275,9 @@ def build_locc_script(f: FunctionTable) -> tuple[ScriptStep, ...]:
             f"add the level-set index of A onto a (ancilla basis j stands for input {reps})",
         ),
         ScriptStep(2, "alice", "measure", "step2_measure", ("a",),
-                   "computational measurement of a, outcome r"),
+                   "computational measurement of a, outcome r", value="r"),
         ScriptStep(None, "alice", "send", "send_r", (),
-                   "Alice sends r to Bob"),
+                   "Alice sends r to Bob", value="r"),
         ScriptStep(3, "bob", "apply", "step3_bob_shift", ("b",),
                    "relabel j -> (r - j) mod n_f on b", depends_on="r"),
         ScriptStep(4, "bob", "apply", "step4_local_oracle", ("B", "b"),
@@ -314,9 +285,9 @@ def build_locc_script(f: FunctionTable) -> tuple[ScriptStep, ...]:
         ScriptStep(5, "bob", "apply", "step5_dft", ("b",),
                    "discrete Fourier transform on b"),
         ScriptStep(6, "bob", "measure", "step6_measure", ("b",),
-                   "computational measurement of b, outcome s"),
+                   "computational measurement of b, outcome s", value="s"),
         ScriptStep(None, "bob", "send", "send_s", (),
-                   "Bob sends s to Alice"),
+                   "Bob sends s to Alice", value="s"),
         ScriptStep(7, "alice", "apply", "step7_phase_fix", ("A",),
                    "remove the level-set phase exp(-2 pi i k s / n_f) from A",
                    depends_on="s"),
@@ -341,12 +312,17 @@ def make_ledger(n_values: int, initial_entropy: float, final_entropy: float) -> 
 
 
 def make_transcript(
-    f: FunctionTable, seed: int, r: int, s: int, ledger: ResourceLedger
+    f: FunctionTable,
+    seed: int,
+    script: tuple[ScriptStep, ...],
+    r: int,
+    s: int,
+    ledger: ResourceLedger,
 ) -> Transcript:
-    """Assemble the transcript; shared by the direct and networked runners."""
+    """Assemble the transcript of one run of the given script."""
     steps = tuple(
         TranscriptStep(st.step, st.party, st.description)
-        for st in build_locc_script(f)
+        for st in script
         if st.step is not None
     )
     width = wire_bits(build_partition(f).n_values)
@@ -357,7 +333,55 @@ def make_transcript(
     return Transcript(f, seed, r, s, steps, messages, ledger)
 
 
-# --- runners --------------------------------------------------------------
+# --- the script interpreter ----------------------------------------------
+
+class LocalParties:
+    """Both parties in this process: every operator is built from the script."""
+
+    def __init__(self, f: FunctionTable):
+        self.f = f
+
+    def apply(self, step: ScriptStep, state: StateVector, value: int | None) -> StateVector:
+        return apply_local(state, build_step_operator(self.f, step.operation, value))
+
+    def measured(self, step: ScriptStep, outcome: int) -> None:
+        pass
+
+    def sent(self, step: ScriptStep, value: int) -> None:
+        pass
+
+
+def execute_script(
+    f: FunctionTable, input_state: StateVector, seed: int, parties
+) -> tuple[StateVector, Transcript]:
+    """The one interpreter of build_locc_script(f); returns (final state, transcript).
+
+    It owns the seeded generator, the global state, both measurements, the
+    ledger and the transcript.  parties (LocalParties or the networked
+    Referee) performs each apply step as parties.apply(step, state, value),
+    value being the r or s the step depends on, and is told about each
+    measure and send by parties.measured(step, outcome) and sent(step, value).
+    """
+    rng = np.random.default_rng(int(seed))
+    script = build_locc_script(f)
+    state = initial_state(f, input_state)
+    initial_entropy = entanglement_entropy(state, {"a"})
+    values: dict[str, int] = {}
+    for step in script:
+        if step.action == "apply":
+            state = parties.apply(step, state, values.get(step.depends_on))
+        elif step.action == "measure":
+            record = measure_computational(state, step.targets[0], rng)
+            state = record.post_state
+            values[step.value] = record.outcome
+            parties.measured(step, record.outcome)
+        else:
+            parties.sent(step, values[step.value])
+    final_entropy = entanglement_entropy(state, {"a"})
+    ledger = make_ledger(build_partition(f).n_values, initial_entropy, final_entropy)
+    transcript = make_transcript(f, int(seed), script, values["r"], values["s"], ledger)
+    return state, transcript
+
 
 def run_locc(
     f: FunctionTable, input_state: StateVector, rng_seed: int
@@ -368,48 +392,37 @@ def run_locc(
     left in |r> and |s>), the transcript, and the resource ledger.  The
     A, B part equals apply_oracle(f, input) for every seed.
     """
-    rng = np.random.default_rng(int(rng_seed))
-    state = initial_state(f, input_state)
-    initial_entropy = entanglement_entropy(state, {"a"})
-
-    state = step1_controlled_shift(f, state)
-    record_r = step2_measure(state, rng)
-    r, state = record_r.outcome, record_r.post_state
-    state = step3_bob_shift(f, state, r)
-    state = step4_local_oracle(f, state)
-    state = step5_dft(f, state)
-    record_s = step6_measure(state, rng)
-    s, state = record_s.outcome, record_s.post_state
-    state = step7_phase_fix(f, state, s)
-
-    final_entropy = entanglement_entropy(state, {"a"})
-    ledger = make_ledger(build_partition(f).n_values, initial_entropy, final_entropy)
-    transcript = make_transcript(f, int(rng_seed), r, s, ledger)
-    return state, transcript, ledger
+    state, transcript = execute_script(f, input_state, rng_seed, LocalParties(f))
+    return state, transcript, transcript.ledger
 
 
 def run_locc_all_branches(f: FunctionTable, input_state: StateVector) -> list[BranchResult]:
     """Deterministically enumerate every (r, s) measurement branch.
 
-    Each of the n_f^2 branches carries probability 1/n_f^2 regardless of
-    the input, and each final A, B state equals the direct oracle action.
+    Walks the same script as execute_script but forks on every outcome of
+    each measure step.  Each of the n_f^2 branches carries probability
+    1/n_f^2 regardless of the input, and each final A, B state equals the
+    direct oracle action.
     """
-    n = build_partition(f).n_values
-    state = step1_controlled_shift(f, initial_state(f, input_state))
-    branches = []
-    probs_r = measurement_probabilities(state, "a")
-    for r in range(n):
-        prob_r, state_r = collapse(state, "a", r)
-        if state_r is None:
-            raise RuntimeError(f"branch r={r} has zero probability {probs_r[r]}")
-        state_r = step5_dft(f, step4_local_oracle(f, step3_bob_shift(f, state_r, r)))
-        for s in range(n):
-            prob_s, state_s = collapse(state_r, "b", s)
-            if state_s is None:
-                raise RuntimeError(f"branch (r={r}, s={s}) has zero probability")
-            final = step7_phase_fix(f, state_s, s)
-            branches.append(BranchResult(r, s, prob_r * prob_s, final))
-    return branches
+    parties = LocalParties(f)
+    branches = [(initial_state(f, input_state), 1.0, {})]  # (state, probability, values)
+    for step in build_locc_script(f):
+        if step.action == "apply":
+            branches = [
+                (parties.apply(step, state, values.get(step.depends_on)), prob, values)
+                for state, prob, values in branches
+            ]
+        elif step.action == "measure":
+            label = step.targets[0]
+            forks = []
+            for state, prob, values in branches:
+                for outcome in range(state.dim_of(label)):
+                    weight, post = collapse(state, label, outcome)
+                    if post is None:
+                        raise RuntimeError(f"branch {values}, {step.value}={outcome} is empty")
+                    forks.append((post, prob * weight, {**values, step.value: outcome}))
+            branches = forks
+    return [BranchResult(values["r"], values["s"], prob, state) for state, prob, values in branches]
 
 
 def ab_substate(state: StateVector) -> StateVector:

@@ -3,8 +3,8 @@
 The global state vector lives with a referee, which is a simulation
 artifact: the parties are spatially separated and only ever issue requests
 for operations on subsystems they own, plus classical values.  The referee
-walks the protocol script in order, enforces ownership on every request,
-samples measurements, and relays classical values between the parties.
+drives locc.execute_script, which samples the measurements; it enforces
+ownership on every request and relays classical values between the parties.
 
 Wire format: each message is framed as a 4-byte little-endian unsigned
 length prefix followed by a UTF-8 JSON object with exactly the keys
@@ -34,21 +34,14 @@ from .locc import (
     OWNERS,
     ScriptStep,
     Transcript,
+    authorized,
     build_locc_script,
     build_step_operator,
-    initial_state,
-    make_ledger,
-    make_transcript,
+    execute_script,
     wire_bits,
 )
 from .oracle import FunctionTable, build_partition
-from .quantum import (
-    LocalOperator,
-    StateVector,
-    apply_local,
-    entanglement_entropy,
-    measure_computational,
-)
+from .quantum import LocalOperator, StateVector, apply_local
 
 MAX_FRAME_BYTES = 1 << 20
 DEFAULT_TIMEOUT = 5.0
@@ -99,20 +92,6 @@ _ERROR_TYPES = {
     "TRANSPORT": TransportError,
     "WIRE_FORMAT": WireFormatError,
     "HANDSHAKE_MISMATCH": HandshakeMismatch,
-}
-
-
-@dataclass(frozen=True)
-class Party:
-    """A protocol participant and the subsystem labels it owns."""
-
-    id: str
-    owned: frozenset[str]
-
-
-PARTIES = {
-    "alice": Party("alice", frozenset(l for l, p in OWNERS.items() if p == "alice")),
-    "bob": Party("bob", frozenset(l for l, p in OWNERS.items() if p == "bob")),
 }
 
 
@@ -175,7 +154,8 @@ def _check_payload(kind: str, payload: dict) -> None:
         if not isinstance(value, int) or not isinstance(bits, int) or isinstance(value, bool):
             raise WireFormatError("CLASSICAL_VALUE value and bits must be integers")
         # A 0-bit width admits only the value 0 (the degenerate single-branch case).
-        if bits < 0 or value < 0 or value >= (1 << bits):
+        # bit_length, not 1 << bits: bits comes from the peer and may be huge.
+        if bits < 0 or value < 0 or value.bit_length() > bits:
             raise WireFormatError(f"value {value} does not fit in {bits} declared bits")
     elif kind == "HANDSHAKE":
         if set(payload) not in ({"role", "m", "n", "f_sha256"}, {"status"}):
@@ -334,108 +314,93 @@ class Connection:
 # --- referee --------------------------------------------------------------
 
 class Referee:
-    """Holds the global state and executes the script against two connections."""
+    """Holds the global state and plays both parties of execute_script.
 
-    def __init__(
-        self,
-        f: FunctionTable,
-        input_state: StateVector,
-        seed: int,
-        script: tuple[ScriptStep, ...] | None = None,
-    ):
+    Each apply step runs the operator the acting party requested, once the
+    request checks out against the script; each measured outcome is
+    released to the party only after its request checks out; each classical
+    value is relayed from sender to receiver.
+    """
+
+    def __init__(self, f: FunctionTable, input_state: StateVector, seed: int):
         self.f = f
         self.input_state = input_state
         self.seed = int(seed)
-        self.script = script if script is not None else build_locc_script(f)
-        self.n_values = build_partition(f).n_values
+        self.connections: dict[str, Connection] = {}
 
-    def execute(self, connections: dict[str, Connection]) -> tuple[StateVector, Transcript]:
+    def execute(self, connections: list[Connection]) -> tuple[StateVector, Transcript]:
         """Run handshakes plus the full script; returns final state and transcript."""
-        self._handshake(connections)
-        rng = np.random.default_rng(self.seed)
-        state = initial_state(self.f, self.input_state)
-        initial_entropy = entanglement_entropy(state, {"a"})
-        outcomes: dict[str, int] = {}
         try:
-            for step in self.script:
-                state = self._execute_step(step, state, rng, outcomes, connections)
+            self.connections = self._handshake(connections)
+            state, transcript = execute_script(self.f, self.input_state, self.seed, self)
         except Exception as exc:
             code = next(
                 (c for c, t in _ERROR_TYPES.items() if isinstance(exc, t)), "PROTOCOL_ORDER"
             )
-            self._broadcast_error(connections, code, str(exc))
+            for conn in connections:
+                try:
+                    conn.send("ERROR", {"code": code, "message": str(exc)}, sender="referee")
+                except (TransportError, OSError):
+                    pass
             raise
-        final_entropy = entanglement_entropy(state, {"a"})
-        ledger = make_ledger(self.n_values, initial_entropy, final_entropy)
-        transcript = make_transcript(
-            self.f, self.seed, outcomes["r"], outcomes["s"], ledger
-        )
-        for conn in connections.values():
+        for conn in connections:
             conn.wait_closed()
         return state, transcript
 
-    def _handshake(self, connections: dict[str, Connection]) -> None:
-        expected_hash = self.f.sha256()
-        for role, conn in connections.items():
-            msg = conn.recv(expect=("HANDSHAKE",))
+    def _handshake(self, connections: list[Connection]) -> dict[str, Connection]:
+        """Read one hello per connection and key the connection by its declared role."""
+        by_role: dict[str, Connection] = {}
+        for conn in connections:
+            msg = conn.recv()
             payload = msg.payload
-            if "status" in payload:
-                raise HandshakeMismatch("party sent a ready message instead of a hello")
-            if payload["role"] != role:
-                raise HandshakeMismatch(
-                    f"connection for {role} introduced itself as {payload['role']}"
-                )
+            if msg.kind != "HANDSHAKE" or "role" not in payload:
+                raise HandshakeMismatch("first message must be a HANDSHAKE hello")
+            role = payload["role"]
+            if role not in OWNERS.values() or role in by_role:
+                raise HandshakeMismatch(f"unknown or duplicate role {role!r}")
             if (payload["m"], payload["n"]) != (self.f.M, self.f.N):
-                self._broadcast_error(connections, "HANDSHAKE_MISMATCH", "dimension mismatch")
                 raise HandshakeMismatch(
                     f"endpoint dims ({payload['m']}, {payload['n']}) vs ({self.f.M}, {self.f.N})"
                 )
-            if payload["f_sha256"] != expected_hash:
-                self._broadcast_error(connections, "HANDSHAKE_MISMATCH", "function table mismatch")
+            if payload["f_sha256"] != self.f.sha256():
                 raise HandshakeMismatch("endpoints disagree on the function table")
-        for conn in connections.values():
+            by_role[role] = conn
+        for conn in by_role.values():
             conn.send("HANDSHAKE", {"status": "ready"}, sender="referee")
+        return by_role
 
-    def _execute_step(
-        self,
-        step: ScriptStep,
-        state: StateVector,
-        rng: np.random.Generator,
-        outcomes: dict[str, int],
-        connections: dict[str, Connection],
-    ) -> StateVector:
-        conn = connections[step.party]
-        other = connections["bob" if step.party == "alice" else "alice"]
-        if step.action == "apply":
-            msg = conn.recv(expect=("OP_REQUEST",))
-            op = self._authorize_op(msg, step)
-            return apply_local(state, op)
-        if step.action == "measure":
-            msg = conn.recv(expect=("MEASURE_REQUEST",))
-            self._check_sender(msg, step.party)
-            subsystem = msg.payload["subsystem"]
-            self._check_ownership(step.party, (subsystem,))
-            if subsystem != step.targets[0]:
-                raise ProtocolOrderError(
-                    f"script expects a measurement of {step.targets[0]}, got {subsystem}"
-                )
-            record = measure_computational(state, subsystem, rng)
-            outcomes["r" if step.step == 2 else "s"] = record.outcome
-            conn.send(
-                "MEASURE_RESULT",
-                {"subsystem": subsystem, "outcome": record.outcome},
-                sender="referee",
+    def apply(self, step: ScriptStep, state: StateVector, value: int | None) -> StateVector:
+        msg = self._recv(step, "OP_REQUEST")
+        return apply_local(state, self._authorize_op(msg, step))
+
+    def measured(self, step: ScriptStep, outcome: int) -> None:
+        subsystem = self._recv(step, "MEASURE_REQUEST").payload["subsystem"]
+        self._check_ownership(step.party, (subsystem,))
+        if subsystem != step.targets[0]:
+            raise ProtocolOrderError(
+                f"script expects a measurement of {step.targets[0]}, got {subsystem}"
             )
-            return record.post_state
-        if step.action == "send":
-            msg = conn.recv(expect=("CLASSICAL_VALUE",))
-            self._check_sender(msg, step.party)
-            other.send("CLASSICAL_VALUE", dict(msg.payload), sender=msg.sender)
-            return state
-        raise ProtocolOrderError(f"unknown script action {step.action!r}")
+        self.connections[step.party].send(
+            "MEASURE_RESULT", {"subsystem": subsystem, "outcome": outcome}, sender="referee"
+        )
+
+    def sent(self, step: ScriptStep, value: int) -> None:
+        msg = self._recv(step, "CLASSICAL_VALUE")
+        receiver = "bob" if step.party == "alice" else "alice"
+        self.connections[receiver].send("CLASSICAL_VALUE", dict(msg.payload), sender=msg.sender)
+
+    def _recv(self, step: ScriptStep, kind: str) -> WireMessage:
+        """The acting party's next message, which must be of the given kind."""
+        msg = self.connections[step.party].recv(expect=(kind,))
+        # The connection a message arrived on decides who sent it; a forged
+        # sender field cannot borrow the other party's authority.
+        if msg.sender != step.party:
+            raise ProtocolOrderError(
+                f"message on {step.party}'s connection claims sender {msg.sender!r}"
+            )
+        return msg
 
     def _authorize_op(self, msg: WireMessage, step: ScriptStep) -> LocalOperator:
-        self._check_sender(msg, step.party)
         targets = msg.payload["targets"]
         if not isinstance(targets, list) or not all(isinstance(t, str) for t in targets):
             raise WireFormatError("OP_REQUEST targets must be a list of labels")
@@ -454,40 +419,20 @@ class Referee:
             raise ProtocolOrderError(f"rejected operator: {exc}") from exc
 
     @staticmethod
-    def _check_sender(msg: WireMessage, party: str) -> None:
-        # The connection a message arrived on decides who sent it; a forged
-        # sender field cannot borrow the other party's authority.
-        if msg.sender != party:
-            raise ProtocolOrderError(
-                f"message on {party}'s connection claims sender {msg.sender!r}"
-            )
-
-    @staticmethod
-    def _check_ownership(party_id: str, targets: tuple[str, ...]) -> None:
-        owned = PARTIES[party_id].owned
-        foreign = [t for t in targets if t not in owned]
-        if foreign:
-            raise LocalityViolation(
-                f"{party_id} may not act on {foreign}; owns {sorted(owned)}"
-            )
-
-    def _broadcast_error(self, connections: dict[str, Connection], code: str, message: str) -> None:
-        for conn in connections.values():
-            try:
-                conn.send("ERROR", {"code": code, "message": message}, sender="referee")
-            except (TransportError, OSError):
-                pass
+    def _check_ownership(party: str, targets: tuple[str, ...]) -> None:
+        if not authorized(party, targets):
+            foreign = [t for t in targets if OWNERS.get(t) != party]
+            raise LocalityViolation(f"{party} may not act on {foreign}")
 
 
 def referee_execute(
     f: FunctionTable,
     input_state: StateVector,
     seed: int,
-    connections: dict[str, Connection],
-    script: tuple[ScriptStep, ...] | None = None,
+    connections: list[Connection],
 ) -> tuple[StateVector, Transcript]:
     """Run the referee side of a distributed execution over open connections."""
-    return Referee(f, input_state, seed, script).execute(connections)
+    return Referee(f, input_state, seed).execute(connections)
 
 
 # --- party endpoint -------------------------------------------------------
@@ -500,7 +445,7 @@ class PartyEndpoint:
     """
 
     def __init__(self, role: str, f: FunctionTable, conn: Connection):
-        if role not in PARTIES:
+        if role not in OWNERS.values():
             raise ValueError(f"role must be alice or bob, not {role!r}")
         self.role = role
         self.f = f
@@ -525,16 +470,13 @@ class PartyEndpoint:
         return dict(self.known)
 
     def _run_step(self, step: ScriptStep, width: int) -> None:
-        mine = step.party == self.role
-        value_name = step.operation.removeprefix("send_")
-        if not mine:
+        if step.party != self.role:
             if step.action == "send":
                 msg = self.conn.recv(expect=("CLASSICAL_VALUE",))
-                self.known[value_name] = msg.payload["value"]
+                self.known[step.value] = msg.payload["value"]
             return
         if step.action == "apply":
-            value = self.known[step.depends_on] if step.depends_on else None
-            op = build_step_operator(self.f, step.operation, value)
+            op = build_step_operator(self.f, step.operation, self.known.get(step.depends_on))
             self.conn.send(
                 "OP_REQUEST",
                 {
@@ -546,9 +488,9 @@ class PartyEndpoint:
         elif step.action == "measure":
             self.conn.send("MEASURE_REQUEST", {"subsystem": step.targets[0]})
             result = self.conn.recv(expect=("MEASURE_RESULT",))
-            self.known["r" if step.step == 2 else "s"] = result.payload["outcome"]
+            self.known[step.value] = result.payload["outcome"]
         elif step.action == "send":
-            self.conn.send("CLASSICAL_VALUE", {"value": self.known[value_name], "bits": width})
+            self.conn.send("CLASSICAL_VALUE", {"value": self.known[step.value], "bits": width})
 
 
 # --- ready-made transports ------------------------------------------------
@@ -559,10 +501,7 @@ def run_in_process(
     """Full distributed run with both endpoints on threads and queue channels."""
     referee_side_a, alice_side = QueueChannel.pair(timeout)
     referee_side_b, bob_side = QueueChannel.pair(timeout)
-    connections = {
-        "alice": Connection(referee_side_a, "referee"),
-        "bob": Connection(referee_side_b, "referee"),
-    }
+    connections = [Connection(referee_side_a, "referee"), Connection(referee_side_b, "referee")]
     endpoints = [
         PartyEndpoint("alice", f, Connection(alice_side, "alice")),
         PartyEndpoint("bob", f, Connection(bob_side, "bob")),
@@ -617,57 +556,11 @@ def serve_socket(
                 except socket.timeout:
                     raise TransportError("no connection within the deadline") from None
                 channels.append(SocketChannel(sock, timeout))
-            connections = _assign_roles(channels)
+            connections = [Connection(channel, "referee") for channel in channels]
             return Referee(f, input_state, seed).execute(connections)
         finally:
             for channel in channels:
                 channel.close()
-
-
-def _assign_roles(channels: list[SocketChannel]) -> dict[str, Connection]:
-    """Peek each connection's HANDSHAKE to learn which party it is.
-
-    The handshake is consumed here, so the referee's own handshake step is
-    replayed from the recorded message via a replaying connection.
-    """
-    connections: dict[str, Connection] = {}
-    for channel in channels:
-        conn = _ReplayConnection(channel, "referee")
-        frame = channel.recv()
-        if frame is None:
-            raise TransportError("connection closed before handshake")
-        msg = decode_wire(frame)
-        if msg.kind != "HANDSHAKE" or "role" not in msg.payload:
-            raise HandshakeMismatch("first message must be a HANDSHAKE hello")
-        role = msg.payload["role"]
-        if role in connections:
-            raise HandshakeMismatch(f"both connections claim the role {role}")
-        conn.stash(frame)
-        connections[role] = conn
-    if set(connections) != {"alice", "bob"}:
-        raise HandshakeMismatch(f"expected alice and bob, got {sorted(connections)}")
-    return connections
-
-
-class _ReplayConnection(Connection):
-    """Connection that can replay one already-read frame (the handshake)."""
-
-    def __init__(self, channel, local_id: str):
-        super().__init__(channel, local_id)
-        self._stashed: bytes | None = None
-
-    def stash(self, frame: bytes) -> None:
-        self._stashed = frame
-
-    def recv(self, expect: tuple[str, ...] | None = None) -> WireMessage:
-        if self._stashed is not None:
-            frame, self._stashed = self._stashed, None
-            msg = decode_wire(frame)
-            self._last_seen = msg.seq
-            if expect is not None and msg.kind not in expect:
-                raise ProtocolOrderError(f"expected {expect}, got {msg.kind}")
-            return msg
-        return super().recv(expect)
 
 
 def connect_socket(
@@ -678,7 +571,7 @@ def connect_socket(
     timeout: float = DEFAULT_TIMEOUT,
 ) -> dict[str, int]:
     """Run one party endpoint against a listening referee."""
-    if role not in PARTIES:
+    if role not in OWNERS.values():
         raise ValueError(f"role must be alice or bob, not {role!r}")
     try:
         sock = socket.create_connection((host, port), timeout=timeout)

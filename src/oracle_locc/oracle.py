@@ -13,17 +13,11 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping
 
 import numpy as np
 
-from .quantum import (
-    LocalOperator,
-    StateVector,
-    UNITARY_TOL,
-    apply_local,
-    operator_schmidt_rank,
-)
+from .quantum import StateVector
 
 MAX_DENSE_ORACLE_DIM = 4096
 
@@ -274,16 +268,6 @@ def schmidt_decompose_oracle(f: FunctionTable) -> OracleSchmidtForm:
     return OracleSchmidtForm(f, partition, tuple(terms))
 
 
-def oracle_schmidt_rank(f: FunctionTable) -> int:
-    """Operator Schmidt rank of the oracle, computed numerically from scratch.
-
-    This goes through realignment and an SVD of the dense matrix rather
-    than the closed form, so it can disagree with the level-set count if
-    either is wrong.
-    """
-    return operator_schmidt_rank(oracle_matrix(f), f.M, f.N)
-
-
 def minimal_oracle(f: FunctionTable) -> np.ndarray:
     """In-place oracle |x> -> |f(x)> on a single register.
 
@@ -312,13 +296,6 @@ def check_local_equivalence(f: FunctionTable) -> float:
     eye = np.eye(f.N, dtype=np.complex128)
     dressed = np.kron(Q.conj().T, eye) @ U_id @ np.kron(Q, eye)
     return float(np.max(np.abs(oracle_matrix(f) - dressed)))
-
-
-def oracle_as_local_operator(f: FunctionTable, control: str, target: str) -> LocalOperator:
-    """Dense oracle packaged for a two-subsystem application."""
-    return LocalOperator(
-        (control, target), oracle_matrix(f), description=f"oracle M={f.M} N={f.N}"
-    )
 
 
 def all_function_tables(max_m: int, max_n: int):

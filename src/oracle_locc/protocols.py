@@ -26,14 +26,6 @@ from .quantum import LocalOperator, StateVector, apply_local, entanglement_entro
 DECODE_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class MessagePair:
-    """Messages for the bidirectional protocol: r from Alice, s from Bob."""
-
-    r: int
-    s: int
-
-
 @dataclass(frozen=True, eq=False)
 class ProtocolResult:
     """Outcome of one protocol run.

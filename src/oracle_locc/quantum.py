@@ -16,7 +16,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-NORM_TOL = 1e-12
 UNITARY_TOL = 1e-10
 ENTROPY_EIGENVALUE_CUTOFF = 1e-14
 SCHMIDT_RANK_REL_CUTOFF = 1e-10
@@ -61,16 +60,12 @@ class StateVector:
         total = int(np.prod(dims)) if dims else 1
         amps = _frozen_complex(self.amps, total)
         norm2 = float(np.vdot(amps, amps).real)
-        if abs(norm2 - 1.0) > 1e-9:
+        if not abs(norm2 - 1.0) <= 1e-9:  # written so that NaN fails too
             raise ValueError(f"state is not normalized: |amps|^2 = {norm2}")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "owners", owners)
         object.__setattr__(self, "amps", amps)
-
-    @property
-    def total_dim(self) -> int:
-        return self.amps.size
 
     def axis(self, label: str) -> int:
         try:
@@ -80,9 +75,6 @@ class StateVector:
 
     def dim_of(self, label: str) -> int:
         return self.dims[self.axis(label)]
-
-    def owner_of(self, label: str) -> str:
-        return self.owners[self.axis(label)]
 
     def tensor_view(self) -> np.ndarray:
         """Amplitudes reshaped to one axis per subsystem (read-only view)."""
@@ -208,7 +200,7 @@ class LocalOperator:
             raise ValueError(f"operator matrix must be square, got shape {mat.shape}")
         if not self.is_projector:
             dev = np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[0])))
-            if dev > UNITARY_TOL:
+            if not dev <= UNITARY_TOL:  # written so that NaN fails too
                 raise ValueError(f"operator is not unitary (max deviation {dev:.3e})")
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
@@ -367,7 +359,7 @@ def operator_schmidt_rank(U: np.ndarray, dim_a: int, dim_b: int) -> int:
     """
     U = np.asarray(U, dtype=np.complex128)
     dev = np.max(np.abs(U.conj().T @ U - np.eye(U.shape[0])))
-    if dev > UNITARY_TOL:
+    if not dev <= UNITARY_TOL:
         raise ValueError(f"operator is not unitary (max deviation {dev:.3e})")
     values = schmidt_values(U, dim_a, dim_b)
     if values[0] == 0.0:

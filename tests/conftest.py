@@ -9,10 +9,31 @@ package against these.
 
 from __future__ import annotations
 
+import os
+import shutil
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from oracle_locc.oracle import FunctionTable
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def cli_command() -> tuple[list[str], dict[str, str]]:
+    """Command and environment that run the oracle-locc CLI as its own OS process.
+
+    The console script when it is on PATH; otherwise `python -m oracle_locc`
+    with this checkout's src directory prepended to PYTHONPATH.
+    """
+    env = dict(os.environ)
+    script = shutil.which("oracle-locc")
+    if script:
+        return [script], env
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return [sys.executable, "-m", "oracle_locc"], env
 
 
 # --- independent reference implementations --------------------------------

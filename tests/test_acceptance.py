@@ -6,7 +6,6 @@ failing lines name the first offending cases.
 """
 
 import json
-import shutil
 import subprocess
 import time
 
@@ -38,7 +37,7 @@ from oracle_locc.protocols import (
 )
 from oracle_locc.quantum import fidelity, operator_schmidt_rank, random_state, realign
 
-from conftest import exhaustive_permutations, exhaustive_tables
+from conftest import cli_command, exhaustive_permutations, exhaustive_tables
 
 from test_netsim import RefereeHarness, drive_alice_to_send_r, step1_payload
 
@@ -260,21 +259,20 @@ def test_criterion_8_minimal_oracle_equivalence():
 
 
 def _two_process_socket_transcript(table_json: str, seed: int) -> str:
-    script = shutil.which("oracle-locc")
-    assert script, "console script not installed"
+    command, env = cli_command()
     server = subprocess.Popen(
-        [script, "serve", "--f", table_json, "--seed", str(seed), "--port", "0",
+        [*command, "serve", "--f", table_json, "--seed", str(seed), "--port", "0",
          "--timeout", "30"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
     )
     try:
         announcement = server.stderr.readline()
         port = int(announcement.strip().rsplit(":", 1)[1])
         clients = [
             subprocess.Popen(
-                [script, "connect", "--role", role, "--f", table_json,
+                [*command, "connect", "--role", role, "--f", table_json,
                  "--port", str(port), "--timeout", "30"],
-                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
             )
             for role in ("alice", "bob")
         ]

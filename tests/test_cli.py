@@ -1,7 +1,6 @@
 """Command line interface: subcommands, exit codes, output contracts."""
 
 import json
-import os
 import shutil
 import subprocess
 import sys
@@ -9,12 +8,15 @@ import sys
 import numpy as np
 import pytest
 
-from oracle_locc.cli import main
+from oracle_locc.cli import _Check, main
+
+from conftest import cli_command
 
 IDENTITY2 = '{"M": 2, "N": 2, "table": [0, 1]}'
 CONSTANT22 = '{"M": 2, "N": 2, "table": [0, 0]}'
 THREE_CYCLE = '{"M": 3, "N": 3, "table": [1, 2, 0]}'
 NON_PERM = '{"M": 3, "N": 3, "table": [0, 0, 1]}'
+BEYOND_DENSE_CAP = json.dumps({"M": 80, "N": 80, "table": list(range(80))})  # M*N > 4096
 
 SCRIPT = shutil.which("oracle-locc")
 
@@ -41,11 +43,11 @@ def cli(*argv):
 
 
 def run_script(*argv, env_extra=None, check=False):
-    env = dict(os.environ)
+    command, env = cli_command()
     if env_extra:
         env.update(env_extra)
     proc = subprocess.run(
-        [SCRIPT, *argv], capture_output=True, text=True, env=env, timeout=120
+        [*command, *argv], capture_output=True, text=True, env=env, timeout=120
     )
     if check and proc.returncode != 0:
         raise AssertionError(f"exit {proc.returncode}: {proc.stderr}")
@@ -75,6 +77,20 @@ class TestVerify:
         assert cli("verify", "--f", '{"M": 2, "N": 2, "table": [0, 5]}') == 2
         err = capsys.readouterr().err
         assert "error" in err
+
+    def test_table_beyond_the_dense_cap_is_a_usage_error(self, capsys):
+        assert cli("verify", "--f", BEYOND_DENSE_CAP) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    def test_nan_deviation_fails_its_check(self):
+        check = _Check("nan_probe")
+        for deviation in (0.0, float("nan"), 0.0):
+            check.record(deviation)
+        result = check.result()
+        assert np.isnan(result.max_deviation)
+        assert result.passed is False
 
     def test_missing_table_file_is_a_usage_error(self, capsys, tmp_path):
         assert cli("verify", "--f", str(tmp_path / "absent.json")) == 2
@@ -119,6 +135,12 @@ class TestCapacities:
         report = json.loads(capsys.readouterr().out)
         assert report["n_f"] == report["schmidt_rank"] == 3
         assert abs(report["log2_n_f"] - np.log2(3)) <= 1e-12
+
+    def test_table_beyond_the_dense_cap_is_a_usage_error(self, capsys):
+        assert cli("capacities", "--f", BEYOND_DENSE_CAP) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
     def test_table_from_file(self, tmp_path, capsys):
         path = tmp_path / "f.json"
@@ -195,12 +217,14 @@ class TestScriptProcess:
         assert quiet.stdout == loud.stdout
 
     def test_serve_connect_matches_run(self):
+        command, env = cli_command()
         server = subprocess.Popen(
-            [SCRIPT, "serve", "--f", THREE_CYCLE, "--seed", "11", "--port", "0",
+            [*command, "serve", "--f", THREE_CYCLE, "--seed", "11", "--port", "0",
              "--timeout", "20"],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             text=True,
+            env=env,
         )
         try:
             announcement = server.stderr.readline()
@@ -208,11 +232,12 @@ class TestScriptProcess:
             port = int(announcement.strip().rsplit(":", 1)[1])
             clients = [
                 subprocess.Popen(
-                    [SCRIPT, "connect", "--role", role, "--f", THREE_CYCLE,
+                    [*command, "connect", "--role", role, "--f", THREE_CYCLE,
                      "--port", str(port), "--timeout", "20"],
                     stdout=subprocess.PIPE,
                     stderr=subprocess.PIPE,
                     text=True,
+                    env=env,
                 )
                 for role in ("alice", "bob")
             ]

@@ -20,16 +20,11 @@ from oracle_locc.locc import (
     reference_final_state,
     run_locc,
     run_locc_all_branches,
-    step1_controlled_shift,
     step1_operator,
-    step3_bob_shift,
     step3_operator,
-    step4_local_oracle,
     step4_operator,
-    step5_dft,
     step5_operator,
     step7_operator,
-    step7_phase_fix,
     wire_bits,
 )
 from oracle_locc.oracle import (
@@ -40,6 +35,7 @@ from oracle_locc.oracle import (
     identity_table,
 )
 from oracle_locc.quantum import (
+    apply_local,
     collapse,
     fidelity,
     from_amps,
@@ -178,18 +174,18 @@ class TestIntermediateStates:
 
         state0 = initial_state(f, inp)
         assert_allclose(state0.amps, build_stage(f, c, "initial"), atol=1e-12)
-        state1 = step1_controlled_shift(f, state0)
+        state1 = apply_local(state0, step1_operator(f))
         assert_allclose(state1.amps, build_stage(f, c, "after1"), atol=1e-12)
 
         for r in range(n):
             prob_r, state2 = collapse(state1, "a", r)
             assert abs(prob_r - 1.0 / n) <= 1e-12
             assert_allclose(state2.amps, build_stage(f, c, "after2", r=r), atol=1e-12)
-            state3 = step3_bob_shift(f, state2, r)
+            state3 = apply_local(state2, step3_operator(f, r))
             assert_allclose(state3.amps, build_stage(f, c, "after3", r=r), atol=1e-12)
-            state4 = step4_local_oracle(f, state3)
+            state4 = apply_local(state3, step4_operator(f))
             assert_allclose(state4.amps, build_stage(f, c, "after4", r=r), atol=1e-12)
-            state5 = step5_dft(f, state4)
+            state5 = apply_local(state4, step5_operator(f))
             assert_allclose(state5.amps, build_stage(f, c, "after5", r=r), atol=1e-12)
 
             for s in range(n):
@@ -198,7 +194,7 @@ class TestIntermediateStates:
                 assert_allclose(
                     state6.amps, build_stage(f, c, "after6", r=r, s=s), atol=1e-12
                 )
-                state7 = step7_phase_fix(f, state6, s)
+                state7 = apply_local(state6, step7_operator(f, s))
                 assert_allclose(
                     state7.amps, build_stage(f, c, "after7", r=r, s=s), atol=1e-12
                 )
@@ -270,6 +266,30 @@ class TestRunLocc:
             run_locc(f, random_state((2, 2), ("X", "Y"), np.random.default_rng(0)), 0)
         with pytest.raises(ValueError, match="dims"):
             run_locc(f, random_state((3, 2), ("A", "B"), np.random.default_rng(0)), 0)
+
+
+class TestOutcomeHistory:
+    """(r, s) per seed, recorded before the direct and networked runs shared one sampler.
+
+    The cross-transport tests compare the two runners with each other, so
+    only a recorded history catches a change in the sampling itself.
+    """
+
+    HISTORY = {
+        (3, 3, (2, 2, 2)): {0: (0, 0), 1: (0, 0), 3: (0, 0), 5: (0, 0), 7: (0, 0), 11: (0, 0)},
+        (3, 3, (1, 2, 0)): {0: (1, 0), 1: (1, 2), 3: (0, 0), 5: (2, 2), 7: (1, 2), 11: (0, 1)},
+        (5, 4, (3, 0, 2, 0, 1)): {0: (2, 1), 1: (2, 3), 3: (0, 0), 5: (3, 3), 7: (2, 3), 11: (0, 1)},
+    }
+
+    @pytest.mark.parametrize(
+        "key", HISTORY, ids=lambda k: f"M{k[0]}N{k[1]}-" + "".join(map(str, k[2]))
+    )
+    def test_outcomes_per_seed_are_pinned(self, key):
+        f = FunctionTable(*key)
+        for seed, expected in self.HISTORY[key].items():
+            inp = random_state((f.M, f.N), ("A", "B"), np.random.default_rng(seed))
+            _, transcript, _ = run_locc(f, inp, seed)
+            assert (transcript.r, transcript.s) == expected, f"seed {seed}"
 
 
 class TestAllBranches:

@@ -5,6 +5,7 @@ import queue
 import socket
 import struct
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -131,6 +132,20 @@ class TestWireCodec:
         with pytest.raises(WireFormatError, match="integer"):
             decode_wire(frame("true", 1))
 
+    def test_huge_declared_width_decodes_without_allocating(self):
+        body = (
+            '{"seq": 1, "sender": "a", "kind": "CLASSICAL_VALUE",'
+            ' "payload": {"value": 3, "bits": 1000000000000}}'
+        )
+        tracemalloc.start()
+        try:
+            payload = decode_wire(frame_of(body)).payload
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert payload == {"value": 3, "bits": 10**12}
+        assert peak < 1 << 20  # 2**(10**12) would need about 125 GB
+
     def test_payload_key_sets_are_exact(self):
         cases = [
             ("MEASURE_REQUEST", '{"subsystem": "a", "extra": 1}'),
@@ -244,10 +259,7 @@ class RefereeHarness:
         inp = random_state((f.M, f.N), ("A", "B"), np.random.default_rng(77))
         referee_a, alice_side = QueueChannel.pair(timeout)
         referee_b, bob_side = QueueChannel.pair(timeout)
-        self._connections = {
-            "alice": Connection(referee_a, "referee"),
-            "bob": Connection(referee_b, "referee"),
-        }
+        self._connections = [Connection(referee_a, "referee"), Connection(referee_b, "referee")]
         self.alice = Connection(alice_side, "alice")
         self.bob = Connection(bob_side, "bob")
         self.alice_raw = alice_side
@@ -405,6 +417,16 @@ class TestRefereeEnforcement:
             net.alice.recv()
         assert isinstance(net.referee_error(), ProtocolOrderError)
 
+    def test_nan_matrix_is_rejected(self):
+        net = RefereeHarness(identity_table(2))
+        net.handshake()
+        payload = step1_payload(net.f)
+        payload["matrix"] = encode_matrix(np.full((4, 4), np.nan))
+        net.alice.send("OP_REQUEST", payload)
+        with pytest.raises(ProtocolOrderError, match="rejected operator"):
+            net.alice.recv()
+        assert isinstance(net.referee_error(), ProtocolOrderError)
+
     def test_bob_running_his_steps_out_of_order(self):
         net = RefereeHarness(identity_table(2))
         net.handshake()
@@ -450,6 +472,12 @@ class TestRefereeEnforcement:
     def test_handshake_ready_instead_of_hello(self):
         net = RefereeHarness(identity_table(2))
         net.alice.send("HANDSHAKE", {"status": "ready"})
+        net.hello(net.bob)
+        assert isinstance(net.referee_error(), HandshakeMismatch)
+
+    def test_handshake_other_kind_instead_of_hello(self):
+        net = RefereeHarness(identity_table(2))
+        net.alice.send("MEASURE_REQUEST", {"subsystem": "a"})
         net.hello(net.bob)
         assert isinstance(net.referee_error(), HandshakeMismatch)
 
@@ -504,10 +532,7 @@ class TestWireAccounting:
         referee_b, bob_side = QueueChannel.pair(2.0)
         sniff_alice = SniffingChannel(alice_side)
         sniff_bob = SniffingChannel(bob_side)
-        connections = {
-            "alice": Connection(referee_a, "referee"),
-            "bob": Connection(referee_b, "referee"),
-        }
+        connections = [Connection(referee_a, "referee"), Connection(referee_b, "referee")]
         endpoints = [
             PartyEndpoint("alice", f, Connection(sniff_alice, "alice")),
             PartyEndpoint("bob", f, Connection(sniff_bob, "bob")),
@@ -586,6 +611,42 @@ class TestSocketTransport:
         )
         assert isinstance(box.get("error"), HandshakeMismatch)
         assert errors  # at least one client saw the failure
+
+    @pytest.mark.parametrize("first", ["measure_request", "hello_from_eve"])
+    def test_raw_client_without_a_valid_hello_is_refused(self, first):
+        f = identity_table(2)
+        inp = random_state((2, 2), ("A", "B"), np.random.default_rng(1))
+        frames = {
+            "measure_request": WireMessage(1, "alice", "MEASURE_REQUEST", {"subsystem": "a"}),
+            "hello_from_eve": WireMessage(
+                1, "eve", "HANDSHAKE", {"role": "eve", "m": 2, "n": 2, "f_sha256": f.sha256()}
+            ),
+        }
+        ports: queue.Queue = queue.Queue()
+        box: dict = {}
+
+        def serve():
+            try:
+                box["result"] = serve_socket(
+                    f, inp, 0, port=0, timeout=2.0, on_listening=lambda _h, p: ports.put(p)
+                )
+            except BaseException as exc:
+                box["error"] = exc
+
+        server = threading.Thread(target=serve, daemon=True)
+        server.start()
+        port = ports.get(timeout=5.0)
+        # Both clients send the bad frame, so the outcome does not depend on accept order.
+        clients = [socket.create_connection(("127.0.0.1", port), timeout=2.0) for _ in range(2)]
+        try:
+            for client in clients:
+                client.sendall(encode_wire(frames[first]))
+            server.join(timeout=10.0)
+        finally:
+            for client in clients:
+                client.close()
+        assert not server.is_alive(), "server thread hung"
+        assert isinstance(box.get("error"), HandshakeMismatch)
 
     def test_server_times_out_without_clients(self):
         f = identity_table(2)

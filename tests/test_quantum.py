@@ -50,6 +50,10 @@ class TestStateVector:
         with pytest.raises(ValueError, match="not normalized"):
             StateVector((2,), ("A",), np.array([1.0, 1.0]))
 
+    def test_rejects_nan_amplitudes(self):
+        with pytest.raises(ValueError, match="not normalized"):
+            StateVector((2,), ("A",), np.array([np.nan, 0.0]))
+
     def test_rejects_duplicate_labels(self):
         with pytest.raises(ValueError, match="duplicate"):
             basis_state((2, 2), ("A", "A"), (0, 0))
@@ -138,6 +142,10 @@ class TestApplyLocal:
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError, match="not unitary"):
             LocalOperator("X", np.array([[1.0, 0.0], [0.0, 2.0]]))
+
+    def test_rejects_nan_matrix(self):
+        with pytest.raises(ValueError, match="not unitary"):
+            LocalOperator("X", np.full((2, 2), np.nan))
 
     def test_projector_flag_skips_unitarity(self):
         op = LocalOperator("X", np.array([[1.0, 0.0], [0.0, 0.0]]), is_projector=True)
@@ -283,3 +291,7 @@ class TestOperatorSchmidt:
     def test_rank_rejects_non_unitary(self):
         with pytest.raises(ValueError, match="not unitary"):
             operator_schmidt_rank(np.ones((4, 4)), 2, 2)
+
+    def test_rank_rejects_nan_matrix(self):
+        with pytest.raises(ValueError, match="not unitary"):
+            operator_schmidt_rank(np.full((4, 4), np.nan), 2, 2)
