@@ -40,9 +40,7 @@ from .oracle import (
     Partition,
     apply_oracle,
     build_partition,
-    class_projectors,
     phase_states,
-    shift_matrix,
 )
 from .quantum import (
     LocalOperator,
@@ -195,35 +193,42 @@ def initial_state(f: FunctionTable, input_state: StateVector) -> StateVector:
 
 # --- step operators ------------------------------------------------------
 
+def _permutation_matrix(source: np.ndarray) -> np.ndarray:
+    """Dense matrix with a 1 at (i, source[i]) for every row i."""
+    mat = np.zeros((len(source), len(source)), dtype=np.complex128)
+    mat[np.arange(len(source)), source] = 1.0
+    return mat
+
+
 def step1_operator(f: FunctionTable) -> LocalOperator:
     """Alice's joint unitary on (A, a): project A onto level set k, shift a by k."""
     partition = build_partition(f)
     n = partition.n_values
-    mat = np.zeros((f.M * n, f.M * n), dtype=np.complex128)
-    for k, projector in enumerate(class_projectors(f, partition)):
-        mat += np.kron(projector, shift_matrix(n, k))
-    return LocalOperator(("A", "a"), mat, description="level-set index added onto a")
+    # |x, j> -> |x, j + k(x) mod n>, so row (x, j) reads column (x, j - k(x) mod n).
+    level = np.searchsorted(partition.values, f.table)
+    x, j = np.divmod(np.arange(f.M * n), n)
+    source = x * n + (j - level[x]) % n
+    return LocalOperator(("A", "a"), _permutation_matrix(source),
+                         description="level-set index added onto a")
 
 
 def step3_operator(f: FunctionTable, r: int) -> LocalOperator:
     """Bob's relabelling j -> (r - j) mod n_f on b (its own inverse)."""
     n = build_partition(f).n_values
-    mat = np.zeros((n, n), dtype=np.complex128)
-    for j in range(n):
-        mat[(r - j) % n, j] = 1.0
-    return LocalOperator("b", mat, description=f"relabel j -> ({r} - j) mod {n} on b")
+    source = (r - np.arange(n)) % n  # an involution, so row i reads column (r - i) mod n
+    return LocalOperator("b", _permutation_matrix(source),
+                         description=f"relabel j -> ({r} - j) mod {n} on b")
 
 
 def step4_operator(f: FunctionTable) -> LocalOperator:
     """Bob's local oracle on (B, b): shift B by the value of the set indexed by b."""
     partition = build_partition(f)
     n = partition.n_values
-    mat = np.zeros((f.N * n, f.N * n), dtype=np.complex128)
-    for k, value in enumerate(partition.values):
-        selector = np.zeros((n, n), dtype=np.complex128)
-        selector[k, k] = 1.0
-        mat += np.kron(shift_matrix(f.N, value), selector)
-    return LocalOperator(("B", "b"), mat, description="local oracle from b onto B")
+    # |y, k> -> |y + values[k] mod N, k>, so row (y, k) reads column (y - values[k] mod N, k).
+    y, k = np.divmod(np.arange(f.N * n), n)
+    source = ((y - np.asarray(partition.values)[k]) % f.N) * n + k
+    return LocalOperator(("B", "b"), _permutation_matrix(source),
+                         description="local oracle from b onto B")
 
 
 def step5_operator(f: FunctionTable) -> LocalOperator:

@@ -41,7 +41,7 @@ from .locc import (
     wire_bits,
 )
 from .oracle import FunctionTable, build_partition
-from .quantum import LocalOperator, StateVector, apply_local
+from .quantum import UNITARY_TOL, LocalOperator, StateVector, apply_local
 
 MAX_FRAME_BYTES = 1 << 20
 DEFAULT_TIMEOUT = 5.0
@@ -317,15 +317,18 @@ class Referee:
     """Holds the global state and plays both parties of execute_script.
 
     Each apply step runs the operator the acting party requested, once the
-    request checks out against the script; each measured outcome is
-    released to the party only after its request checks out; each classical
-    value is relayed from sender to receiver.
+    request checks out against the script, including its matrix against
+    the scripted operator for the values measured so far; each measured
+    outcome is released to the party only after its request checks out;
+    each classical value is relayed from sender to receiver once it equals
+    the measured one and has the scripted width.
     """
 
     def __init__(self, f: FunctionTable, input_state: StateVector, seed: int):
         self.f = f
         self.input_state = input_state
         self.seed = int(seed)
+        self.width = wire_bits(build_partition(f).n_values)
         self.connections: dict[str, Connection] = {}
 
     def execute(self, connections: list[Connection]) -> tuple[StateVector, Transcript]:
@@ -371,7 +374,7 @@ class Referee:
 
     def apply(self, step: ScriptStep, state: StateVector, value: int | None) -> StateVector:
         msg = self._recv(step, "OP_REQUEST")
-        return apply_local(state, self._authorize_op(msg, step))
+        return apply_local(state, self._authorize_op(msg, step, value))
 
     def measured(self, step: ScriptStep, outcome: int) -> None:
         subsystem = self._recv(step, "MEASURE_REQUEST").payload["subsystem"]
@@ -386,8 +389,16 @@ class Referee:
 
     def sent(self, step: ScriptStep, value: int) -> None:
         msg = self._recv(step, "CLASSICAL_VALUE")
+        sent_value, bits = msg.payload["value"], msg.payload["bits"]
+        if (sent_value, bits) != (value, self.width):
+            raise ProtocolOrderError(
+                f"{step.party} sent {step.value} = {sent_value} in {bits} bits; "
+                f"measured {value}, in {self.width} bits"
+            )
         receiver = "bob" if step.party == "alice" else "alice"
-        self.connections[receiver].send("CLASSICAL_VALUE", dict(msg.payload), sender=msg.sender)
+        self.connections[receiver].send(
+            "CLASSICAL_VALUE", {"value": value, "bits": self.width}, sender=msg.sender
+        )
 
     def _recv(self, step: ScriptStep, kind: str) -> WireMessage:
         """The acting party's next message, which must be of the given kind."""
@@ -400,7 +411,7 @@ class Referee:
             )
         return msg
 
-    def _authorize_op(self, msg: WireMessage, step: ScriptStep) -> LocalOperator:
+    def _authorize_op(self, msg: WireMessage, step: ScriptStep, value: int | None) -> LocalOperator:
         targets = msg.payload["targets"]
         if not isinstance(targets, list) or not all(isinstance(t, str) for t in targets):
             raise WireFormatError("OP_REQUEST targets must be a list of labels")
@@ -411,12 +422,22 @@ class Referee:
                 f"script expects {step.operation} on {step.targets}, "
                 f"got {msg.payload['operation']} on {requested}"
             )
+        # The submitted matrix must be the scripted operator for the values
+        # measured so far; that operator, already validated, is the one applied.
         matrix = decode_matrix(msg.payload["matrix"])
-        target = requested[0] if len(requested) == 1 else requested
-        try:
-            return LocalOperator(target, matrix, description=step.operation)
-        except ValueError as exc:
-            raise ProtocolOrderError(f"rejected operator: {exc}") from exc
+        expected = build_step_operator(self.f, step.operation, value)
+        if matrix.shape != expected.matrix.shape:
+            raise ProtocolOrderError(
+                f"rejected operator: {step.operation} has shape {matrix.shape}, "
+                f"expected {expected.matrix.shape}"
+            )
+        dev = np.max(np.abs(matrix - expected.matrix))
+        if not dev <= UNITARY_TOL:  # written so that NaN fails too
+            raise ProtocolOrderError(
+                f"rejected operator: {step.operation} differs from the scripted one "
+                f"(max deviation {dev:.3e})"
+            )
+        return expected
 
     @staticmethod
     def _check_ownership(party: str, targets: tuple[str, ...]) -> None:
@@ -506,24 +527,34 @@ def run_in_process(
         PartyEndpoint("alice", f, Connection(alice_side, "alice")),
         PartyEndpoint("bob", f, Connection(bob_side, "bob")),
     ]
-    failures: list[BaseException] = []
+    failures: list[tuple[str, BaseException]] = []
 
     def drive(endpoint: PartyEndpoint) -> None:
         try:
             endpoint.run()
         except BaseException as exc:  # propagated to the caller after join
-            failures.append(exc)
+            failures.append((endpoint.role, exc))
 
     threads = [threading.Thread(target=drive, args=(e,), daemon=True) for e in endpoints]
     for t in threads:
         t.start()
     try:
-        state, transcript = referee_execute(f, input_state, seed, connections)
-    finally:
-        for t in threads:
-            t.join(timeout=timeout)
+        try:
+            state, transcript = referee_execute(f, input_state, seed, connections)
+        finally:
+            for t in threads:
+                t.join(timeout=timeout)
+    except TransportError as exc:
+        # The referee sees only the closed channel; the party that closed it
+        # has the cause.  A party failure whose message is the referee's own
+        # came from the ERROR frame the referee sent, so it is not the cause.
+        causes = [(role, cause) for role, cause in failures if str(cause) != str(exc)]
+        if not causes:
+            raise
+        role, cause = causes[0]
+        raise TransportError(f"{role} failed: {type(cause).__name__}: {cause}") from cause
     if failures:
-        raise failures[0]
+        raise failures[0][1]
     return state, transcript
 
 

@@ -181,25 +181,59 @@ def reorder(state: StateVector, labels: Sequence[str]) -> StateVector:
     return StateVector(dims, labels, amps, owners)
 
 
+def _monomial_form(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """(source, phases) with mat[i, source[i]] = phases[i] and all else zero, or None.
+
+    A NaN entry counts as nonzero, so it either makes the matrix dense or
+    lands in the phases, where the unitarity check refuses it.
+    """
+    nonzero = mat != 0
+    d = len(mat)
+    if np.count_nonzero(nonzero) != d:
+        return None
+    if not (nonzero.any(axis=0).all() and nonzero.any(axis=1).all()):
+        return None  # d nonzeros and no empty row or column means one in each
+    source = nonzero.argmax(axis=1)
+    phases = mat[np.arange(d), source]
+    source.setflags(write=False)
+    phases.setflags(write=False)
+    return source, phases
+
+
 @dataclass(frozen=True, eq=False)
 class LocalOperator:
     """Operator acting on one subsystem or an ordered pair of subsystems.
 
     The matrix is indexed row-major over the target dims in the order given,
     and must be unitary within UNITARY_TOL unless flagged as a projector.
+    A monomial unitary (one nonzero per row and per column: a permutation
+    times phases) is also kept as source and phases, matrix[i, source[i]]
+    being phases[i]; its unitarity is checked on the phases alone and
+    apply_local applies it by gathering.  Every other matrix has source and
+    phases None and is applied densely.
     """
 
     target: str | tuple[str, str]
     matrix: np.ndarray
     is_projector: bool = False
     description: str = ""
+    source: np.ndarray | None = field(init=False, repr=False, default=None)
+    phases: np.ndarray | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         mat = np.array(self.matrix, dtype=np.complex128)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"operator matrix must be square, got shape {mat.shape}")
         if not self.is_projector:
-            dev = np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[0])))
+            monomial = _monomial_form(mat)
+            if monomial is None:
+                dev = np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[0])))
+            else:
+                source, phases = monomial
+                # U^dagger U is diagonal with entries |phase|^2.
+                dev = np.abs(np.abs(phases) ** 2 - 1.0).max()
+                object.__setattr__(self, "source", source)
+                object.__setattr__(self, "phases", phases)
             if not dev <= UNITARY_TOL:  # written so that NaN fails too
                 raise ValueError(f"operator is not unitary (max deviation {dev:.3e})")
         mat.setflags(write=False)
@@ -217,8 +251,9 @@ class LocalOperator:
 def apply_local(state: StateVector, op: LocalOperator) -> StateVector:
     """Apply op to its target subsystem(s), identity elsewhere.
 
-    Works by tensor contraction on the reshaped amplitude array; the global
-    matrix is never materialized.
+    A dense operator is applied by tensor contraction on the reshaped
+    amplitude array, a monomial one by gathering along the merged target
+    axes and scaling by its phases; the global matrix is never materialized.
     """
     targets = op.target_labels
     axes = [state.axis(x) for x in targets]
@@ -228,10 +263,16 @@ def apply_local(state: StateVector, op: LocalOperator) -> StateVector:
         raise ValueError(
             f"operator dimension {op.matrix.shape[0]} does not match target dims {tdims}"
         )
-    op_tensor = op.matrix.reshape(tdims + tdims)
-    n = len(targets)
-    psi = np.tensordot(op_tensor, state.tensor_view(), axes=(tuple(range(n, 2 * n)), tuple(axes)))
-    psi = np.moveaxis(psi, tuple(range(n)), tuple(axes))
+    if op.source is None:
+        n = len(targets)
+        op_tensor = op.matrix.reshape(tdims + tdims)
+        psi = np.tensordot(op_tensor, state.tensor_view(), axes=(tuple(range(n, 2 * n)), tuple(axes)))
+        psi = np.moveaxis(psi, tuple(range(n)), tuple(axes))
+    else:
+        order = axes + [i for i in range(len(state.dims)) if i not in axes]
+        moved = state.tensor_view().transpose(order)
+        psi = (moved.reshape(block, -1)[op.source] * op.phases[:, None]).reshape(moved.shape)
+        psi = psi.transpose([order.index(i) for i in range(len(order))])
     amps = psi.reshape(-1)
     if not op.is_projector:
         return StateVector(state.dims, state.labels, amps, state.owners)

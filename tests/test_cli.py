@@ -17,6 +17,8 @@ CONSTANT22 = '{"M": 2, "N": 2, "table": [0, 0]}'
 THREE_CYCLE = '{"M": 3, "N": 3, "table": [1, 2, 0]}'
 NON_PERM = '{"M": 3, "N": 3, "table": [0, 0, 1]}'
 BEYOND_DENSE_CAP = json.dumps({"M": 80, "N": 80, "table": list(range(80))})  # M*N > 4096
+# Its step-1 OP_REQUEST is about 4 MB, over the 1 MiB frame cap.
+BEYOND_FRAME_CAP = json.dumps({"M": 24, "N": 24, "table": [(x + 1) % 24 for x in range(24)]})
 
 CHECK_NAMES = {
     "oracle_matrix_is_permutation_unitary",
@@ -285,6 +287,12 @@ class TestScriptProcess:
             server.wait()
         direct = run_script("run", "--f", THREE_CYCLE, "--seed", "11", check=True)
         assert out == direct.stdout  # byte-identical transcripts across transports
+
+    def test_party_failure_is_one_line_naming_its_cause(self):
+        proc = run_script("run", "--f", BEYOND_FRAME_CAP, "--seed", "1")
+        assert proc.returncode == 3
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("transport error: alice failed: WireFormatError")
 
     def test_connect_to_dead_port_is_a_transport_error(self):
         import socket as socketlib

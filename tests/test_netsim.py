@@ -13,6 +13,7 @@ import pytest
 from oracle_locc.locc import (
     run_locc,
     step1_operator,
+    step3_operator,
     step4_operator,
     wire_bits,
 )
@@ -304,13 +305,17 @@ def step1_payload(f):
     }
 
 
-def drive_alice_to_send_r(net: RefereeHarness) -> int:
-    """Play Alice's part of the script faithfully up to and including send_r."""
+def drive_alice_to_send_r(net: RefereeHarness, lie=lambda r, n_f, bits: (r, bits)) -> int:
+    """Play Alice's part of the script up to and including send_r.
+
+    lie(r, n_f, bits) gives the (value, bits) she sends; by default the truth.
+    """
     net.alice.send("OP_REQUEST", step1_payload(net.f))
     net.alice.send("MEASURE_REQUEST", {"subsystem": "a"})
     r = net.alice.recv(expect=("MEASURE_RESULT",)).payload["outcome"]
-    width = wire_bits(len(set(net.f.table)))
-    net.alice.send("CLASSICAL_VALUE", {"value": r, "bits": width})
+    n_f = len(set(net.f.table))
+    value, bits = lie(r, n_f, wire_bits(n_f))
+    net.alice.send("CLASSICAL_VALUE", {"value": value, "bits": bits})
     return r
 
 
@@ -427,6 +432,16 @@ class TestRefereeEnforcement:
             net.alice.recv()
         assert isinstance(net.referee_error(), ProtocolOrderError)
 
+    def test_matrix_of_the_wrong_size_is_rejected(self):
+        net = RefereeHarness(identity_table(2))
+        net.handshake()
+        payload = step1_payload(net.f)
+        payload["matrix"] = encode_matrix(np.eye(2))
+        net.alice.send("OP_REQUEST", payload)
+        with pytest.raises(ProtocolOrderError, match="has shape"):
+            net.alice.recv()
+        assert isinstance(net.referee_error(), ProtocolOrderError)
+
     def test_bob_running_his_steps_out_of_order(self):
         net = RefereeHarness(identity_table(2))
         net.handshake()
@@ -442,6 +457,38 @@ class TestRefereeEnforcement:
             },
         )
         with pytest.raises(ProtocolOrderError, match="expects"):
+            net.bob.recv()
+        assert isinstance(net.referee_error(), ProtocolOrderError)
+
+    @pytest.mark.parametrize(
+        "lie",
+        [lambda r, n_f, bits: ((r + 1) % n_f, bits), lambda r, n_f, bits: (r, bits + 1)],
+        ids=["other value", "wider"],
+    )
+    def test_relayed_value_must_be_the_measured_one(self, lie):
+        net = RefereeHarness(FunctionTable(3, 3, (1, 2, 0)))
+        net.handshake()
+        drive_alice_to_send_r(net, lie)
+        for conn in (net.alice, net.bob):
+            with pytest.raises(ProtocolOrderError, match="measured"):
+                conn.recv()
+        assert isinstance(net.referee_error(), ProtocolOrderError)
+
+    def test_operator_must_be_the_scripted_one(self):
+        net = RefereeHarness(FunctionTable(3, 3, (1, 2, 0)))
+        net.handshake()
+        r = drive_alice_to_send_r(net)
+        assert net.bob.recv(expect=("CLASSICAL_VALUE",)).payload["value"] == r
+        # A unitary on the right target, but the relabelling for another r.
+        net.bob.send(
+            "OP_REQUEST",
+            {
+                "operation": "step3_bob_shift",
+                "targets": ["b"],
+                "matrix": encode_matrix(step3_operator(net.f, (r + 1) % 3).matrix),
+            },
+        )
+        with pytest.raises(ProtocolOrderError, match="differs from the scripted one"):
             net.bob.recv()
         assert isinstance(net.referee_error(), ProtocolOrderError)
 
@@ -500,6 +547,18 @@ class TestInProcessTransport:
             _, transcript = run_in_process(f, inp, seed)
             seen.add((transcript.r, transcript.s))
         assert len(seen) > 1  # both ancilla outcomes actually occur
+
+
+class TestPartyFailure:
+    def test_party_failure_is_reported_instead_of_the_closed_channel(self):
+        # At M = N = 24 the step-1 OP_REQUEST is about 4 MB, over the 1 MiB cap,
+        # so Alice fails while encoding it and the referee sees her channel close.
+        f = FunctionTable(24, 24, tuple((x + 1) % 24 for x in range(24)))
+        inp = random_state((24, 24), ("A", "B"), np.random.default_rng(3))
+        with pytest.raises(TransportError, match="alice failed: WireFormatError") as caught:
+            run_in_process(f, inp, 0)
+        assert isinstance(caught.value.__cause__, WireFormatError)
+        assert "1 MiB cap" in str(caught.value)
 
 
 class SniffingChannel:

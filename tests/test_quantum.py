@@ -25,7 +25,7 @@ from oracle_locc.quantum import (
     tensor,
 )
 
-from conftest import random_unitary, ref_entanglement_entropy, ref_global_apply
+from conftest import ref_dft, random_unitary, ref_entanglement_entropy, ref_global_apply
 
 
 def bell_pair(labels=("A", "B")) -> StateVector:
@@ -156,6 +156,66 @@ class TestApplyLocal:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="does not match"):
             apply_local(basis_state((3,), ("X",), (0,)), LocalOperator("X", np.eye(2)))
+
+
+def random_monomial(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Permutation matrix times random unit phases, built entry by entry."""
+    mat = np.zeros((dim, dim), dtype=np.complex128)
+    for row, col in enumerate(rng.permutation(dim)):
+        mat[row, col] = np.exp(2j * np.pi * rng.random())
+    return mat
+
+
+class TestMonomialOperators:
+    def test_one_target_matches_dense_reference(self, rng):
+        for _ in range(20):
+            dims = tuple(int(d) for d in rng.integers(1, 5, size=3))
+            axis = int(rng.integers(0, 3))
+            state = random_state(dims, ("X", "Y", "Z"), rng)
+            U = random_monomial(dims[axis], rng)
+            op = LocalOperator(state.labels[axis], U)
+            assert op.source is not None
+            expected = ref_global_apply(state.amps, dims, U, (axis,))
+            assert_allclose(apply_local(state, op).amps, expected, atol=1e-12)
+
+    def test_two_targets_out_of_state_order_match_dense_reference(self, rng):
+        for _ in range(10):
+            dims = tuple(int(d) for d in rng.integers(2, 5, size=4))
+            state = random_state(dims, ("A", "a", "B", "b"), rng)
+            U = random_monomial(dims[3] * dims[0], rng)
+            op = LocalOperator(("b", "A"), U)
+            assert op.source is not None
+            expected = ref_global_apply(state.amps, dims, U, (3, 0))
+            assert_allclose(apply_local(state, op).amps, expected, atol=1e-12)
+
+    def test_phase_off_the_unit_circle_is_refused(self, rng):
+        U = random_monomial(4, rng)
+        col = int(np.flatnonzero(U[2])[0])
+        U[2, col] *= 1 + 1e-6
+        with pytest.raises(ValueError, match="not unitary"):
+            LocalOperator("X", U)
+
+    def test_nan_entry_is_refused(self, rng):
+        for place in ("phase", "off the permutation"):
+            U = random_monomial(4, rng)
+            col = int(np.flatnonzero(U[1])[0])
+            U[1, col if place == "phase" else (col + 1) % 4] = np.nan
+            with pytest.raises(ValueError, match="not unitary"):
+                LocalOperator("X", U)
+
+    @pytest.mark.parametrize("mat", [[[1, 0], [1, 0]], [[1, 1], [0, 0]]], ids=["column", "row"])
+    def test_one_nonzero_per_row_and_column_is_required(self, mat):
+        # Each has as many nonzeros as rows and unit entries, but one line is empty.
+        with pytest.raises(ValueError, match="not unitary"):
+            LocalOperator("X", np.array(mat))
+
+    def test_dft_stays_dense(self, rng):
+        state = random_state((3, 5), ("X", "Y"), rng)
+        F = ref_dft(5)
+        op = LocalOperator("Y", F)
+        assert op.source is None and op.phases is None
+        expected = ref_global_apply(state.amps, state.dims, F, (1,))
+        assert_allclose(apply_local(state, op).amps, expected, atol=1e-12)
 
 
 class TestMeasurement:

@@ -1,0 +1,86 @@
+"""Record transcripts on fixed inputs, to compare two checkouts of the package.
+
+    python tools/transcript_digest.py record SRC OUT.json
+    python tools/transcript_digest.py compare BEFORE.json AFTER.json
+
+`record` imports oracle_locc from SRC (a checkout's `src` directory).  It
+draws 105 random tables with M, N <= 8 and a random input state for each
+from numpy's default_rng(2024), runs each through run_locc and
+run_in_process for seeds 0-3, and writes the 420 run_locc transcripts, a
+digest of the final amplitudes, and whether run_in_process gave the same
+transcript and amplitudes bytes for bytes.
+
+`compare` prints how many transcripts differ in each top-level field and
+each ledger field, and exits 1 if r or s differs anywhere.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+from collections import Counter
+
+SEED = 2024
+TABLES = 105
+RUN_SEEDS = range(4)
+
+
+def record(src: str, out_path: str) -> None:
+    sys.path.insert(0, src)
+    import numpy as np
+
+    from oracle_locc import locc, netsim, quantum
+    from oracle_locc.oracle import FunctionTable
+
+    rng = np.random.default_rng(SEED)
+    transcripts, amps, in_process_same = [], hashlib.sha256(), True
+    for _ in range(TABLES):
+        M, N = int(rng.integers(1, 9)), int(rng.integers(1, 9))
+        f = FunctionTable(M, N, tuple(int(v) for v in rng.integers(0, N, size=M)))
+        inp = quantum.random_state((M, N), ("A", "B"), rng)
+        for seed in RUN_SEEDS:
+            state, transcript, _ = locc.run_locc(f, inp, seed)
+            state2, transcript2 = netsim.run_in_process(f, inp, seed)
+            in_process_same &= (transcript2.to_json() == transcript.to_json()
+                                and state2.amps.tobytes() == state.amps.tobytes())
+            transcripts.append(transcript.to_json_dict())
+            amps.update(state.amps.tobytes())
+    result = {"transcripts": transcripts, "amps": amps.hexdigest()[:16],
+              "in_process_same": in_process_same}
+    with open(out_path, "w") as fh:
+        json.dump(result, fh)
+    print(f"{len(transcripts)} transcripts; amps {result['amps']}; "
+          f"run_in_process identical: {in_process_same}")
+
+
+def compare(before_path: str, after_path: str) -> int:
+    with open(before_path) as fh:
+        before = json.load(fh)
+    with open(after_path) as fh:
+        after = json.load(fh)
+    pairs = list(zip(before["transcripts"], after["transcripts"]))
+    if len(before["transcripts"]) != len(after["transcripts"]):
+        print("transcript counts differ:", len(before["transcripts"]), len(after["transcripts"]))
+        return 1
+    differs = Counter()
+    for a, b in pairs:
+        differs["any"] += a != b
+        for key in a:
+            differs[key] += a[key] != b[key]
+        for key in a["ledger"]:
+            differs[f"ledger.{key}"] += a["ledger"][key] != b["ledger"][key]
+    for key, count in differs.items():
+        print(f"{key}: {count} of {len(pairs)} differ")
+    print("amps digest:", before["amps"], "->", after["amps"])
+    print("run_in_process identical:", before["in_process_same"], "->", after["in_process_same"])
+    return 1 if differs["r"] or differs["s"] else 0
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 4 or sys.argv[1] not in ("record", "compare"):
+        sys.exit(__doc__)
+    if sys.argv[1] == "record":
+        record(sys.argv[2], sys.argv[3])
+    else:
+        sys.exit(compare(sys.argv[2], sys.argv[3]))
