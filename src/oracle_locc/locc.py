@@ -37,7 +37,6 @@ import numpy as np
 
 from .oracle import (
     FunctionTable,
-    Partition,
     apply_oracle,
     build_partition,
     phase_states,
@@ -176,28 +175,27 @@ def _check_input(input_state: StateVector, f: FunctionTable) -> StateVector:
     return state
 
 
-def ancilla_pair(partition: Partition) -> StateVector:
-    """Maximally entangled ancilla pair on labels a (Alice) and b (Bob)."""
-    n = partition.n_values
-    amps = np.zeros((n, n), dtype=np.complex128)
-    amps[np.arange(n), np.arange(n)] = 1.0 / np.sqrt(n)
-    return from_amps((n, n), ("a", "b"), amps.reshape(-1))
-
-
 def initial_state(f: FunctionTable, input_state: StateVector) -> StateVector:
-    """Input on A, B joined with the fresh ancilla pair, ordered A, a, B, b."""
-    partition = build_partition(f)
-    joined = tensor([_check_input(input_state, f), ancilla_pair(partition)])
-    return reorder(joined, SUBSYSTEM_ORDER)
+    """Input on A, B joined with the fresh ancilla pair, ordered A, a, B, b.
+
+    The amplitude of |x, j, y, j> is input[x, y] / sqrt(n_f), written onto
+    that diagonal directly; every other amplitude is zero.
+    """
+    n = build_partition(f).n_values
+    ab = _check_input(input_state, f)
+    amps = np.zeros((f.M, n, f.N, n), dtype=np.complex128)
+    j = np.arange(n)
+    amps[:, j, :, j] = ab.tensor_view() * (1.0 / np.sqrt(n))
+    owners = (ab.owners[0], OWNERS["a"], ab.owners[1], OWNERS["b"])
+    return from_amps(amps.shape, SUBSYSTEM_ORDER, amps.reshape(-1), owners)
 
 
 # --- step operators ------------------------------------------------------
 
-def _permutation_matrix(source: np.ndarray) -> np.ndarray:
-    """Dense matrix with a 1 at (i, source[i]) for every row i."""
-    mat = np.zeros((len(source), len(source)), dtype=np.complex128)
-    mat[np.arange(len(source)), source] = 1.0
-    return mat
+def _permutation(target, source: np.ndarray, description: str) -> LocalOperator:
+    """The operator with a 1 at (i, source[i]) for every row i."""
+    return LocalOperator(target, source=source, phases=np.ones(len(source)),
+                         description=description)
 
 
 def step1_operator(f: FunctionTable) -> LocalOperator:
@@ -208,16 +206,14 @@ def step1_operator(f: FunctionTable) -> LocalOperator:
     level = np.searchsorted(partition.values, f.table)
     x, j = np.divmod(np.arange(f.M * n), n)
     source = x * n + (j - level[x]) % n
-    return LocalOperator(("A", "a"), _permutation_matrix(source),
-                         description="level-set index added onto a")
+    return _permutation(("A", "a"), source, "level-set index added onto a")
 
 
 def step3_operator(f: FunctionTable, r: int) -> LocalOperator:
     """Bob's relabelling j -> (r - j) mod n_f on b (its own inverse)."""
     n = build_partition(f).n_values
     source = (r - np.arange(n)) % n  # an involution, so row i reads column (r - i) mod n
-    return LocalOperator("b", _permutation_matrix(source),
-                         description=f"relabel j -> ({r} - j) mod {n} on b")
+    return _permutation("b", source, f"relabel j -> ({r} - j) mod {n} on b")
 
 
 def step4_operator(f: FunctionTable) -> LocalOperator:
@@ -227,8 +223,7 @@ def step4_operator(f: FunctionTable) -> LocalOperator:
     # |y, k> -> |y + values[k] mod N, k>, so row (y, k) reads column (y - values[k] mod N, k).
     y, k = np.divmod(np.arange(f.N * n), n)
     source = ((y - np.asarray(partition.values)[k]) % f.N) * n + k
-    return LocalOperator(("B", "b"), _permutation_matrix(source),
-                         description="local oracle from b onto B")
+    return _permutation(("B", "b"), source, "local oracle from b onto B")
 
 
 def step5_operator(f: FunctionTable) -> LocalOperator:
@@ -241,10 +236,11 @@ def step7_operator(f: FunctionTable, s: int) -> LocalOperator:
     """Alice's phase correction on A: exp(-2 pi i k s / n_f) on level set k."""
     partition = build_partition(f)
     n = partition.n_values
-    diag = np.zeros(f.M, dtype=np.complex128)
+    phases = np.zeros(f.M, dtype=np.complex128)
     for k, cls in enumerate(partition.classes):
-        diag[list(cls)] = np.exp(-2j * np.pi * k * s / n)
-    return LocalOperator("A", np.diag(diag), description=f"phase correction for s={s} on A")
+        phases[list(cls)] = np.exp(-2j * np.pi * k * s / n)
+    return LocalOperator("A", source=np.arange(f.M), phases=phases,
+                         description=f"phase correction for s={s} on A")
 
 
 OPERATOR_BUILDERS: dict[str, Callable[..., LocalOperator]] = {
@@ -377,9 +373,9 @@ def execute_script(
             state = parties.apply(step, state, values.get(step.depends_on))
         elif step.action == "measure":
             record = measure_computational(state, step.targets[0], rng)
-            state = record.post_state
-            values[step.value] = record.outcome
-            parties.measured(step, record.outcome)
+            state, values[step.value] = record.post_state, record.outcome
+            del record  # else its post_state outlives the next apply, a third state in memory
+            parties.measured(step, values[step.value])
         else:
             parties.sent(step, values[step.value])
     final_entropy = entanglement_entropy(state, {"a"})

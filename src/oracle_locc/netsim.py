@@ -26,6 +26,7 @@ import queue
 import socket
 import struct
 import threading
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,7 +131,7 @@ def decode_wire(frame: bytes) -> WireMessage:
         raise WireFormatError("message keys must be exactly (seq, sender, kind, payload) in order")
     fields = dict(pairs)
     seq, sender, kind, payload = fields["seq"], fields["sender"], fields["kind"], fields["payload"]
-    if not isinstance(seq, int) or isinstance(seq, bool) or seq < 0:
+    if not _is_int(seq) or seq < 0:
         raise WireFormatError("seq must be a non-negative integer")
     if not isinstance(sender, str):
         raise WireFormatError("sender must be a string")
@@ -151,15 +152,26 @@ def _check_payload(kind: str, payload: dict) -> None:
         raise WireFormatError(f"{kind} payload keys must be exactly {sorted(required)}")
     if kind == "CLASSICAL_VALUE":
         value, bits = payload["value"], payload["bits"]
-        if not isinstance(value, int) or not isinstance(bits, int) or isinstance(value, bool):
+        if not (_is_int(value) and _is_int(bits)):
             raise WireFormatError("CLASSICAL_VALUE value and bits must be integers")
         # A 0-bit width admits only the value 0 (the degenerate single-branch case).
         # bit_length, not 1 << bits: bits comes from the peer and may be huge.
         if bits < 0 or value < 0 or value.bit_length() > bits:
             raise WireFormatError(f"value {value} does not fit in {bits} declared bits")
+    elif kind in ("MEASURE_REQUEST", "MEASURE_RESULT"):
+        if not isinstance(payload["subsystem"], str):
+            raise WireFormatError(f"{kind} subsystem must be a string")
+        outcome = payload.get("outcome")
+        if kind == "MEASURE_RESULT" and not (_is_int(outcome) and outcome >= 0):
+            raise WireFormatError("MEASURE_RESULT outcome must be a non-negative integer")
     elif kind == "HANDSHAKE":
         if set(payload) not in ({"role", "m", "n", "f_sha256"}, {"status"}):
             raise WireFormatError("HANDSHAKE payload must be a hello or a ready message")
+
+
+def _is_int(x) -> bool:
+    """True for a JSON integer; JSON true and false decode to bool and are not integers."""
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def encode_matrix(matrix: np.ndarray) -> list:
@@ -220,34 +232,45 @@ class QueueChannel:
 
 
 class SocketChannel:
-    """TCP byte channel; reads exactly one frame at a time."""
+    """TCP byte channel; reads exactly one frame at a time.
+
+    Each frame must arrive whole within the timeout of the recv call that
+    reads it, however the peer spaces its bytes; each send has the same
+    timeout.
+    """
 
     def __init__(self, sock: socket.socket, timeout: float = DEFAULT_TIMEOUT):
         self._sock = sock
-        self._sock.settimeout(timeout)
+        self._timeout = timeout
 
     def send(self, frame: bytes) -> None:
         try:
+            self._sock.settimeout(self._timeout)
             self._sock.sendall(frame)
         except OSError as exc:
             raise TransportError(f"send failed: {exc}") from exc
 
     def recv(self) -> bytes | None:
-        prefix = self._recv_exact(4, eof_ok=True)
+        deadline = time.monotonic() + self._timeout
+        prefix = self._recv_exact(4, deadline, eof_ok=True)
         if prefix is None:
             return None
         (length,) = struct.unpack("<I", prefix)
         if length > MAX_FRAME_BYTES:
             raise WireFormatError(f"declared frame length {length} exceeds the 1 MiB cap")
-        return prefix + self._recv_exact(length, eof_ok=False)
+        return prefix + self._recv_exact(length, deadline, eof_ok=False)
 
-    def _recv_exact(self, count: int, eof_ok: bool) -> bytes | None:
+    def _recv_exact(self, count: int, deadline: float, eof_ok: bool) -> bytes | None:
         chunks = bytearray()
         while len(chunks) < count:
+            remaining = deadline - time.monotonic()
             try:
+                if remaining <= 0:
+                    raise socket.timeout
+                self._sock.settimeout(remaining)
                 chunk = self._sock.recv(count - len(chunks))
             except socket.timeout:
-                raise TransportError(f"no data within the per-message deadline") from None
+                raise TransportError("no whole frame within the per-message deadline") from None
             except OSError as exc:
                 raise TransportError(f"recv failed: {exc}") from exc
             if not chunk:

@@ -6,12 +6,21 @@ subsystem most significant, i.e. for dims (d0, d1, ...) the flat index of
 basis state |k0, k1, ...> is k0*d1*d2*... + k1*d2*... + ...
 
 All operations are pure: inputs are never mutated and amplitude arrays are
-frozen, so values can safely be shared between threads.
+frozen, so values can safely be shared between threads.  An array a caller
+hands to StateVector is copied; one this module has just made, or the frozen
+amplitudes of another state, is kept as it is.
+
+Each state primitive reads the amplitudes once, as a contiguous
+(pre, block, post) array whose middle axis merges the subsystems it acts
+on; a layout where those are not adjacent and in order is transposed into
+one where they are first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from math import prod
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -19,6 +28,9 @@ import numpy as np
 UNITARY_TOL = 1e-10
 ENTROPY_EIGENVALUE_CUTOFF = 1e-14
 SCHMIDT_RANK_REL_CUTOFF = 1e-10
+# Columns (one per basis state of the traced subsystems) that partial_trace
+# sums per chunk; this bounds the conjugated copy it makes.
+_TRACE_CHUNK = 4096
 
 
 def _default_owner(label: str) -> str:
@@ -27,8 +39,20 @@ def _default_owner(label: str) -> str:
     return "bob" if label[:1] in ("b", "B") else "alice"
 
 
+class _Owned:
+    """Amplitudes no caller holds a writable reference to: StateVector keeps them uncopied."""
+
+    __slots__ = ("array",)
+
+    def __init__(self, array: np.ndarray):
+        self.array = array
+
+
 def _frozen_complex(values, size: int | None = None) -> np.ndarray:
-    arr = np.array(values, dtype=np.complex128).reshape(-1)
+    if isinstance(values, _Owned):
+        arr = values.array.reshape(-1)
+    else:
+        arr = np.array(values, dtype=np.complex128).reshape(-1)
     if size is not None and arr.size != size:
         raise ValueError(f"amplitude vector has length {arr.size}, expected {size}")
     arr.setflags(write=False)
@@ -116,7 +140,7 @@ def basis_state(
         raise ValueError(f"flat index {flat} out of range for total dimension {total}")
     amps = np.zeros(total, dtype=np.complex128)
     amps[flat] = 1.0
-    return StateVector(dims, tuple(labels), amps, tuple(owners) if owners else ())
+    return StateVector(dims, tuple(labels), _Owned(amps), tuple(owners) if owners else ())
 
 
 def from_amps(
@@ -132,7 +156,7 @@ def from_amps(
         n = np.linalg.norm(arr)
         if n == 0:
             raise ValueError("cannot normalize the zero vector")
-        arr = arr / n
+        arr = _Owned(arr / n)
     return StateVector(tuple(dims), tuple(labels), arr, tuple(owners) if owners else ())
 
 
@@ -166,7 +190,7 @@ def tensor(parts: Sequence[StateVector]) -> StateVector:
     dims = tuple(d for p in parts for d in p.dims)
     labels = tuple(x for p in parts for x in p.labels)
     owners = tuple(o for p in parts for o in p.owners)
-    return StateVector(dims, labels, amps, owners)
+    return StateVector(dims, labels, _Owned(amps), owners)
 
 
 def reorder(state: StateVector, labels: Sequence[str]) -> StateVector:
@@ -178,7 +202,44 @@ def reorder(state: StateVector, labels: Sequence[str]) -> StateVector:
     amps = np.transpose(state.tensor_view(), perm).reshape(-1)
     dims = tuple(state.dims[i] for i in perm)
     owners = tuple(state.owners[i] for i in perm)
-    return StateVector(dims, labels, amps, owners)
+    return StateVector(dims, labels, _Owned(amps), owners)
+
+
+def _derived(state: StateVector, amps: np.ndarray) -> StateVector:
+    """A state on the layout of `state` holding freshly made amplitudes."""
+    return StateVector(state.dims, state.labels, _Owned(amps), state.owners)
+
+
+def _grouped(state: StateVector, axes: Sequence[int]) -> tuple[np.ndarray, tuple[int, ...] | None]:
+    """The amplitudes as a contiguous (pre, block, post) array, block merging `axes` in order.
+
+    When the axes are adjacent and ascending this is a view of the frozen
+    amplitudes and the second result is None.  Otherwise the axes are first
+    transposed to the front, which copies, and the axis order used is
+    returned so that _ungrouped can undo it.
+    """
+    axes = tuple(axes)
+    block = prod(state.dims[i] for i in axes)
+    first = axes[0]
+    if axes == tuple(range(first, first + len(axes))):
+        return state.amps.reshape(prod(state.dims[:first]), block, -1), None
+    order = axes + tuple(i for i in range(len(state.dims)) if i not in axes)
+    return state.tensor_view().transpose(order).reshape(1, block, -1), order
+
+
+def _ungrouped(psi3: np.ndarray, dims: tuple[int, ...], order: tuple[int, ...] | None) -> np.ndarray:
+    """Flat amplitudes in the layout `dims` from a (pre, block, post) array made by _grouped."""
+    if order is None:
+        return psi3.reshape(-1)
+    moved = psi3.reshape(tuple(dims[i] for i in order))
+    return moved.transpose(np.argsort(order)).reshape(-1)
+
+
+def _outcome_weights(psi3: np.ndarray) -> np.ndarray:
+    """Sum of |amplitude|^2 over pre and post for each middle index of a (pre, d, post) array."""
+    pre, d, _ = psi3.shape
+    real = psi3.reshape(pre, -1).view(np.float64)  # re and im interleaved
+    return np.einsum("ij,ij->j", real, real).reshape(d, -1).sum(axis=1)
 
 
 def _monomial_form(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
@@ -194,54 +255,84 @@ def _monomial_form(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     if not (nonzero.any(axis=0).all() and nonzero.any(axis=1).all()):
         return None  # d nonzeros and no empty row or column means one in each
     source = nonzero.argmax(axis=1)
-    phases = mat[np.arange(d), source]
-    source.setflags(write=False)
-    phases.setflags(write=False)
-    return source, phases
+    return source, mat[np.arange(d), source]
 
 
 @dataclass(frozen=True, eq=False)
 class LocalOperator:
     """Operator acting on one subsystem or an ordered pair of subsystems.
 
-    The matrix is indexed row-major over the target dims in the order given,
-    and must be unitary within UNITARY_TOL unless flagged as a projector.
-    A monomial unitary (one nonzero per row and per column: a permutation
-    times phases) is also kept as source and phases, matrix[i, source[i]]
-    being phases[i]; its unitarity is checked on the phases alone and
-    apply_local applies it by gathering.  Every other matrix has source and
-    phases None and is applied densely.
+    The operator is indexed row-major over the target dims in the order
+    given.  It is given either as a dense matrix, unitary within
+    UNITARY_TOL unless flagged as a projector, or as a monomial unitary
+    (a permutation times phases) by source and phases alone, matrix[i,
+    source[i]] being phases[i].  source must be a permutation and each
+    phase of modulus 1 within UNITARY_TOL.  A dense matrix that is monomial
+    gets its source and phases too, and every monomial operator is applied
+    by gathering.  The matrix of one given by source and phases is built
+    only when it is first read.
     """
 
     target: str | tuple[str, str]
-    matrix: np.ndarray
+    dense: np.ndarray | None = field(default=None, repr=False)
     is_projector: bool = False
     description: str = ""
-    source: np.ndarray | None = field(init=False, repr=False, default=None)
-    phases: np.ndarray | None = field(init=False, repr=False, default=None)
+    source: np.ndarray | None = field(default=None, repr=False)
+    phases: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        mat = np.array(self.matrix, dtype=np.complex128)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError(f"operator matrix must be square, got shape {mat.shape}")
-        if not self.is_projector:
-            monomial = _monomial_form(mat)
-            if monomial is None:
-                dev = np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[0])))
-            else:
-                source, phases = monomial
-                # U^dagger U is diagonal with entries |phase|^2.
-                dev = np.abs(np.abs(phases) ** 2 - 1.0).max()
-                object.__setattr__(self, "source", source)
-                object.__setattr__(self, "phases", phases)
-            if not dev <= UNITARY_TOL:  # written so that NaN fails too
-                raise ValueError(f"operator is not unitary (max deviation {dev:.3e})")
-        mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
+        if self.source is None:
+            mat = np.array(self.dense, dtype=np.complex128)
+            if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+                raise ValueError(f"operator matrix must be square, got shape {mat.shape}")
+            mat.setflags(write=False)
+            object.__setattr__(self, "dense", mat)
+            if not self.is_projector:
+                monomial = _monomial_form(mat)
+                if monomial is None:
+                    dev = np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[0])))
+                    if not dev <= UNITARY_TOL:  # written so that NaN fails too
+                        raise ValueError(f"operator is not unitary (max deviation {dev:.3e})")
+                else:
+                    self._set_monomial(*monomial)
+        else:
+            if self.dense is not None or self.is_projector:
+                raise ValueError("an operator given by source and phases takes no matrix")
+            self._set_monomial(np.array(self.source, dtype=np.intp),
+                               np.array(self.phases, dtype=np.complex128))
         if isinstance(self.target, str):
             object.__setattr__(self, "target", self.target)
         else:
             object.__setattr__(self, "target", tuple(self.target))
+
+    def _set_monomial(self, source: np.ndarray, phases: np.ndarray) -> None:
+        d = source.size
+        if source.ndim != 1 or phases.shape != source.shape or d == 0:
+            raise ValueError("source and phases must be nonempty vectors of equal length")
+        if source.min() < 0 or source.max() >= d or np.any(np.bincount(source) != 1):
+            raise ValueError("operator source is not a permutation")
+        # U^dagger U is diagonal with entries |phase|^2.
+        dev = np.abs(np.abs(phases) ** 2 - 1.0).max()
+        if not dev <= UNITARY_TOL:  # written so that NaN fails too
+            raise ValueError(f"operator is not unitary (max deviation {dev:.3e})")
+        source.setflags(write=False)
+        phases.setflags(write=False)
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "phases", phases)
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The d x d matrix (read-only); for source and phases, built on first read."""
+        if self.dense is not None:
+            return self.dense
+        mat = np.zeros((self.dim, self.dim), dtype=np.complex128)
+        mat[np.arange(self.dim), self.source] = self.phases
+        mat.setflags(write=False)
+        return mat
+
+    @property
+    def dim(self) -> int:
+        return len(self.dense) if self.dense is not None else len(self.source)
 
     @property
     def target_labels(self) -> tuple[str, ...]:
@@ -251,40 +342,36 @@ class LocalOperator:
 def apply_local(state: StateVector, op: LocalOperator) -> StateVector:
     """Apply op to its target subsystem(s), identity elsewhere.
 
-    A dense operator is applied by tensor contraction on the reshaped
-    amplitude array, a monomial one by gathering along the merged target
-    axes and scaling by its phases; the global matrix is never materialized.
+    On the (pre, block, post) array of the state, a monomial operator is one
+    gather along block times its phases and a dense one is one matmul; the
+    global matrix is never materialized.
     """
-    targets = op.target_labels
-    axes = [state.axis(x) for x in targets]
+    axes = [state.axis(x) for x in op.target_labels]
     tdims = tuple(state.dims[i] for i in axes)
-    block = int(np.prod(tdims))
-    if op.matrix.shape[0] != block:
-        raise ValueError(
-            f"operator dimension {op.matrix.shape[0]} does not match target dims {tdims}"
-        )
-    if op.source is None:
-        n = len(targets)
-        op_tensor = op.matrix.reshape(tdims + tdims)
-        psi = np.tensordot(op_tensor, state.tensor_view(), axes=(tuple(range(n, 2 * n)), tuple(axes)))
-        psi = np.moveaxis(psi, tuple(range(n)), tuple(axes))
+    block = prod(tdims)
+    if op.dim != block:
+        raise ValueError(f"operator dimension {op.dim} does not match target dims {tdims}")
+    psi3, order = _grouped(state, axes)
+    if op.source is not None:
+        out = np.take(psi3, op.source, axis=1)
+        out *= op.phases[:, None]
+    elif psi3.shape[2] == 1:
+        out = psi3.reshape(-1, block) @ op.matrix.T
     else:
-        order = axes + [i for i in range(len(state.dims)) if i not in axes]
-        moved = state.tensor_view().transpose(order)
-        psi = (moved.reshape(block, -1)[op.source] * op.phases[:, None]).reshape(moved.shape)
-        psi = psi.transpose([order.index(i) for i in range(len(order))])
-    amps = psi.reshape(-1)
-    if not op.is_projector:
-        return StateVector(state.dims, state.labels, amps, state.owners)
-    return from_amps(state.dims, state.labels, amps, state.owners, normalize=True)
+        out = np.matmul(op.matrix, psi3)
+    amps = _ungrouped(out, state.dims, order)
+    if op.is_projector:
+        norm = np.linalg.norm(amps)
+        if norm == 0:
+            raise ValueError("cannot normalize the zero vector")
+        amps /= norm
+    return _derived(state, amps)
 
 
 def measurement_probabilities(state: StateVector, label: str) -> np.ndarray:
     """Exact computational-basis outcome distribution for one subsystem."""
-    axis = state.axis(label)
-    psi = np.moveaxis(state.tensor_view(), axis, 0)
-    flat = psi.reshape(state.dims[axis], -1)
-    return np.sum(np.abs(flat) ** 2, axis=1)
+    psi3, _ = _grouped(state, [state.axis(label)])
+    return _outcome_weights(psi3)
 
 
 def collapse(state: StateVector, label: str, outcome: int) -> tuple[float, StateVector | None]:
@@ -297,15 +384,13 @@ def collapse(state: StateVector, label: str, outcome: int) -> tuple[float, State
     d = state.dims[axis]
     if not 0 <= outcome < d:
         raise ValueError(f"outcome {outcome} out of range for dimension {d}")
-    psi = np.moveaxis(state.tensor_view(), axis, 0).copy()
-    keep = psi[outcome]
-    prob = float(np.sum(np.abs(keep) ** 2))
+    psi3, _ = _grouped(state, [axis])
+    prob = float(_outcome_weights(psi3[:, outcome : outcome + 1])[0])
     if prob <= 0.0:
         return 0.0, None
-    psi[:outcome] = 0.0
-    psi[outcome + 1 :] = 0.0
-    psi = np.moveaxis(psi, 0, axis) / np.sqrt(prob)
-    return prob, StateVector(state.dims, state.labels, psi.reshape(-1), state.owners)
+    out = np.zeros_like(psi3)
+    np.divide(psi3[:, outcome], np.sqrt(prob), out=out[:, outcome])
+    return prob, _derived(state, out.reshape(-1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -346,19 +431,29 @@ def measure_computational(
 
 
 def partial_trace(state: StateVector, keep: Iterable[str]) -> np.ndarray:
-    """Reduced density matrix on the kept subsystems (in state order)."""
+    """Reduced density matrix on the kept subsystems (in state order).
+
+    With the state as a (pre, K, post) array, K merging the kept subsystems,
+    rho is the sum of C @ C^H over chunks C of about _TRACE_CHUNK of its
+    columns, each chunk reduced straight to K x K by one matmul.  Only one
+    chunk is copied and conjugated at a time.
+    """
     keep = set(keep)
     unknown = keep.difference(state.labels)
     if unknown:
         raise KeyError(f"unknown labels in keep-set: {sorted(unknown)}")
     if not keep or len(keep) == len(state.labels):
         raise ValueError("keep-set must be a nonempty proper subset of the subsystems")
-    keep_axes = [i for i, x in enumerate(state.labels) if x in keep]
-    trace_axes = [i for i, x in enumerate(state.labels) if x not in keep]
-    psi = state.tensor_view()
-    rho = np.tensordot(psi, psi.conj(), axes=(trace_axes, trace_axes))
-    d = int(np.prod([state.dims[i] for i in keep_axes]))
-    return rho.reshape(d, d)
+    psi3, _ = _grouped(state, [i for i, x in enumerate(state.labels) if x in keep])
+    pre, k, post = psi3.shape
+    rho = np.zeros((k, k), dtype=np.complex128)
+    rows = max(1, _TRACE_CHUNK // post)
+    for start in range(0, pre, rows):
+        for col in range(0, post, _TRACE_CHUNK):
+            blk = psi3[start : start + rows, :, col : col + _TRACE_CHUNK]
+            cols = blk.transpose(1, 0, 2).reshape(k, -1)  # copies only when rows > 1
+            rho += cols @ cols.conj().T
+    return rho
 
 
 def entanglement_entropy(state: StateVector, cut: Iterable[str]) -> float:

@@ -11,7 +11,6 @@ from oracle_locc.locc import (
     OWNERS,
     SUBSYSTEM_ORDER,
     ab_substate,
-    ancilla_pair,
     authorized,
     build_locc_script,
     build_step_operator,
@@ -203,13 +202,15 @@ class TestIntermediateStates:
                 )
 
     def test_initial_state_layout(self):
-        f = identity_table(2)
-        inp = random_state((2, 2), ("A", "B"), np.random.default_rng(7))
+        f = FunctionTable(3, 2, (0, 1, 1))  # n_f = 2
+        inp = random_state((3, 2), ("A", "B"), np.random.default_rng(7))
         state = initial_state(f, inp)
         assert state.labels == SUBSYSTEM_ORDER
-        assert state.dims == (2, 2, 2, 2)
-        pair = ancilla_pair(build_partition(f))
-        assert_allclose(pair.amps, [1 / np.sqrt(2), 0, 0, 1 / np.sqrt(2)], atol=1e-12)
+        assert state.dims == (3, 2, 2, 2)
+        expected = np.zeros((3, 2, 2, 2), dtype=np.complex128)
+        for x, j, y in np.ndindex(3, 2, 2):
+            expected[x, j, y, j] = inp.tensor_view()[x, y] / np.sqrt(2)
+        assert_allclose(state.tensor_view(), expected, rtol=0, atol=1e-15)
 
 
 class TestRunLocc:

@@ -5,6 +5,7 @@ import queue
 import socket
 import struct
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -24,6 +25,7 @@ from oracle_locc.netsim import (
     MAX_FRAME_BYTES,
     ProtocolOrderError,
     QueueChannel,
+    SocketChannel,
     TransportError,
     WireFormatError,
     WireMessage,
@@ -133,6 +135,35 @@ class TestWireCodec:
         with pytest.raises(WireFormatError, match="integer"):
             decode_wire(frame("true", 1))
 
+    def test_bool_bits_is_refused(self):
+        body = ('{"seq": 1, "sender": "a", "kind": "CLASSICAL_VALUE",'
+                ' "payload": {"value": 1, "bits": true}}')
+        with pytest.raises(WireFormatError, match="integer"):
+            decode_wire(frame_of(body))
+
+    def test_measure_request_subsystem_must_be_a_string(self):
+        assert decode_wire(frame_of(
+            '{"seq": 1, "sender": "a", "kind": "MEASURE_REQUEST", "payload": {"subsystem": "a"}}'
+        )).payload == {"subsystem": "a"}
+        body = '{"seq": 1, "sender": "a", "kind": "MEASURE_REQUEST", "payload": {"subsystem": [1]}}'
+        with pytest.raises(WireFormatError, match="subsystem"):
+            decode_wire(frame_of(body))
+
+    @pytest.mark.parametrize("payload", [
+        '{"subsystem": 5, "outcome": "x"}',
+        '{"subsystem": 5, "outcome": 0}',
+        '{"subsystem": "a", "outcome": "x"}',
+        '{"subsystem": "a", "outcome": true}',
+        '{"subsystem": "a", "outcome": -1}',
+        '{"subsystem": "a", "outcome": 1.0}',
+    ])
+    def test_measure_result_fields_are_typed(self, payload):
+        body = f'{{"seq": 1, "sender": "r", "kind": "MEASURE_RESULT", "payload": {payload}}}'
+        with pytest.raises(WireFormatError, match="subsystem|outcome"):
+            decode_wire(frame_of(body))
+        good = '{"seq": 1, "sender": "r", "kind": "MEASURE_RESULT", "payload": {"subsystem": "a", "outcome": 2}}'
+        assert decode_wire(frame_of(good)).payload == {"subsystem": "a", "outcome": 2}
+
     def test_huge_declared_width_decodes_without_allocating(self):
         body = (
             '{"seq": 1, "sender": "a", "kind": "CLASSICAL_VALUE",'
@@ -234,6 +265,37 @@ class TestChannelsAndConnection:
             Connection(left, "referee").send("ERROR", {"code": code, "message": "boom"})
             with pytest.raises(exc_type, match="boom"):
                 Connection(right, "bob").recv()
+
+    def test_slow_drip_sender_hits_the_frame_deadline(self):
+        # One byte every 0.1 s would reset a per-chunk timeout of 0.3 s forever.
+        ours, peer = socket.socketpair()
+        frame = encode_wire(WireMessage(1, "alice", "MEASURE_REQUEST", {"subsystem": "a"}))
+        stop = threading.Event()
+
+        def drip():
+            for byte in frame:
+                if stop.wait(0.1):
+                    return
+                try:
+                    peer.sendall(bytes([byte]))
+                except OSError:
+                    return
+
+        dripper = threading.Thread(target=drip, daemon=True)
+        dripper.start()
+        channel = SocketChannel(ours, timeout=0.3)
+        start = time.monotonic()
+        try:
+            with pytest.raises(TransportError, match="deadline"):
+                channel.recv()
+            elapsed = time.monotonic() - start
+        finally:
+            stop.set()
+            dripper.join(timeout=2.0)
+            channel.close()
+            peer.close()
+        assert not dripper.is_alive()
+        assert 0.25 <= elapsed < 0.8
 
     def test_expect_filter(self):
         left, right = QueueChannel.pair(1.0)

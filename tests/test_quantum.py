@@ -1,5 +1,7 @@
 """Core state-vector machinery, compared against loop-based references."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,6 +26,9 @@ from oracle_locc.quantum import (
     schmidt_values,
     tensor,
 )
+
+from oracle_locc.locc import step1_operator
+from oracle_locc.oracle import FunctionTable
 
 from conftest import ref_dft, random_unitary, ref_entanglement_entropy, ref_global_apply
 
@@ -216,6 +221,188 @@ class TestMonomialOperators:
         assert op.source is None and op.phases is None
         expected = ref_global_apply(state.amps, state.dims, F, (1,))
         assert_allclose(apply_local(state, op).amps, expected, atol=1e-12)
+
+
+def random_layout(rng: np.random.Generator, count: int) -> tuple[int, ...]:
+    """Dims for `count` subsystems, each 1 to 4, so size-1 dims occur."""
+    return tuple(int(d) for d in rng.integers(1, 5, size=count))
+
+
+def ref_partial_trace(state: StateVector, keep_axes: list[int]) -> np.ndarray:
+    """Reduced density matrix by tensordot over every traced axis."""
+    psi = state.tensor_view()
+    traced = [i for i in range(len(state.dims)) if i not in keep_axes]
+    rho = np.tensordot(psi, psi.conj(), axes=(traced, traced))
+    k = int(np.prod([state.dims[i] for i in keep_axes]))
+    return rho.reshape(k, k)
+
+
+class TestKernels:
+    """Each one-pass kernel against a loop or tensordot reference."""
+
+    LABELS = ("A", "a", "B", "b")
+
+    def test_apply_local_on_random_layouts(self, rng):
+        for _ in range(40):
+            dims = random_layout(rng, 4)
+            state = random_state(dims, self.LABELS, rng)
+            count = int(rng.integers(1, 3))
+            axes = tuple(int(i) for i in rng.choice(4, size=count, replace=False))
+            targets = tuple(self.LABELS[i] for i in axes)
+            block = int(np.prod([dims[i] for i in axes]))
+            U = random_unitary(block, rng)
+            perm = rng.permutation(block)
+            phases = np.exp(2j * np.pi * rng.random(block))
+            monomial = np.zeros((block, block), dtype=np.complex128)
+            monomial[np.arange(block), perm] = phases
+            target = targets[0] if count == 1 else targets
+            cases = (
+                (LocalOperator(target, U), U),
+                (LocalOperator(target, source=perm, phases=phases), monomial),
+                (LocalOperator(target, source=np.arange(block), phases=phases), np.diag(phases)),
+                (LocalOperator(target, source=perm, phases=np.ones(block)), np.abs(monomial)),
+            )
+            for op, mat in cases:
+                expected = ref_global_apply(state.amps, dims, mat, axes)
+                assert_allclose(apply_local(state, op).amps, expected, rtol=0, atol=1e-12)
+
+    def test_apply_local_on_a_reversed_target_pair(self, rng):
+        state = random_state((3, 1, 2, 4), self.LABELS, rng)
+        U = random_unitary(12, rng)
+        expected = ref_global_apply(state.amps, state.dims, U, (3, 0))
+        assert_allclose(apply_local(state, LocalOperator(("b", "A"), U)).amps, expected,
+                        rtol=0, atol=1e-12)
+        op = LocalOperator(("b", "A"), source=rng.permutation(12), phases=np.ones(12))
+        expected = ref_global_apply(state.amps, state.dims, op.matrix, (3, 0))
+        assert_allclose(apply_local(state, op).amps, expected, rtol=0, atol=1e-12)
+
+    def test_apply_local_projector(self, rng):
+        state = random_state((2, 3, 2), ("X", "Y", "Z"), rng)
+        P = np.diag([1.0, 0.0, 1.0])
+        result = apply_local(state, LocalOperator("Y", P, is_projector=True))
+        expected = ref_global_apply(state.amps, state.dims, P, (1,))
+        assert_allclose(result.amps, expected / np.linalg.norm(expected), rtol=0, atol=1e-12)
+
+    def test_measurement_and_collapse_on_random_layouts(self, rng):
+        for _ in range(20):
+            dims = random_layout(rng, 4)
+            state = random_state(dims, self.LABELS, rng)
+            axis = int(rng.integers(0, 4))
+            moved = np.moveaxis(state.tensor_view(), axis, 0)
+            expected = np.sum(np.abs(moved.reshape(dims[axis], -1)) ** 2, axis=1)
+            probs = measurement_probabilities(state, self.LABELS[axis])
+            assert_allclose(probs, expected, rtol=0, atol=1e-12)
+            outcome = int(np.argmax(expected))
+            prob, post = collapse(state, self.LABELS[axis], outcome)
+            assert prob == probs[outcome]
+            projected = np.zeros_like(moved)
+            projected[outcome] = moved[outcome] / np.sqrt(expected[outcome])
+            assert_allclose(post.tensor_view(), np.moveaxis(projected, 0, axis),
+                            rtol=0, atol=1e-12)
+
+    def test_partial_trace_on_random_keep_sets(self, rng):
+        for _ in range(30):
+            dims = random_layout(rng, 4)
+            state = random_state(dims, self.LABELS, rng)
+            count = int(rng.integers(1, 4))
+            keep_axes = sorted(int(i) for i in rng.choice(4, size=count, replace=False))
+            rho = partial_trace(state, {self.LABELS[i] for i in keep_axes})
+            assert_allclose(rho, ref_partial_trace(state, keep_axes), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("dims, keep", [
+        ((2, 3, 2), {"A", "C"}),     # not adjacent: transposed first
+        ((2, 2, 5000), {"A"}),       # rows longer than one chunk of columns
+        ((3000, 2, 2), {"B"}),       # short rows, batched over the leading index
+    ])
+    def test_partial_trace_layouts(self, rng, dims, keep):
+        state = random_state(dims, ("A", "B", "C"), rng)
+        keep_axes = [i for i, x in enumerate(state.labels) if x in keep]
+        assert_allclose(partial_trace(state, keep), ref_partial_trace(state, keep_axes),
+                        rtol=0, atol=1e-12)
+
+    def test_partial_trace_of_a_large_trailing_keep_set_stays_small(self, rng):
+        state = random_state((256, 256), ("A", "B"), rng)  # 1 MiB of amplitudes
+        tracemalloc.start()
+        try:
+            rho = partial_trace(state, {"B"})
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # A (256, 256, 256) intermediate of per-row outer products would take 256 MiB.
+        assert peak < 8 << 20
+        assert_allclose(rho, ref_partial_trace(state, [1]), rtol=0, atol=1e-12)
+
+
+class TestOwnership:
+    def test_mutating_the_given_array_leaves_the_state_alone(self):
+        for make in (lambda a: StateVector((2,), ("A",), a), lambda a: from_amps((2,), ("A",), a)):
+            given = np.array([1.0, 0.0], dtype=np.complex128)
+            state = make(given)
+            given[0] = 0.0
+            assert_allclose(state.amps, [1.0, 0.0], atol=0)
+
+    def test_derived_amplitudes_are_read_only(self, rng):
+        state = random_state((2, 3), ("A", "B"), rng)
+        derived = [
+            state,
+            apply_local(state, LocalOperator("B", random_unitary(3, rng))),
+            apply_local(state, LocalOperator("B", source=[2, 0, 1], phases=np.ones(3))),
+            collapse(state, "A", 1)[1],
+            reorder(state, ("B", "A")),
+            reorder(state, ("A", "B")),
+            tensor([state, basis_state((2,), ("C",), (1,))]),
+            tensor([state]),
+            from_amps((2, 3), ("A", "B"), np.ones(6), normalize=True),
+        ]
+        for st in derived:
+            with pytest.raises(ValueError):
+                st.amps[0] = 0.0
+
+
+class TestMonomialConstruction:
+    def test_refuses_a_duplicate_source_index(self):
+        with pytest.raises(ValueError, match="permutation"):
+            LocalOperator("X", source=[0, 1, 1], phases=np.ones(3))
+
+    def test_refuses_a_source_index_out_of_range(self):
+        for source in ([0, 1, 3], [0, -1, 2]):
+            with pytest.raises(ValueError, match="permutation"):
+                LocalOperator("X", source=source, phases=np.ones(3))
+
+    def test_refuses_a_phase_off_the_unit_circle(self):
+        with pytest.raises(ValueError, match="not unitary"):
+            LocalOperator("X", source=[1, 0], phases=[1.0, 1 + 1e-6])
+
+    def test_refuses_a_nan_phase(self):
+        with pytest.raises(ValueError, match="not unitary"):
+            LocalOperator("X", source=[1, 0], phases=[1.0, np.nan])
+
+    def test_refuses_a_matrix_beside_source_and_phases(self):
+        with pytest.raises(ValueError, match="takes no matrix"):
+            LocalOperator("X", np.eye(2), source=[0, 1], phases=np.ones(2))
+
+    def test_matrix_is_read_only_and_entrywise(self, rng):
+        perm = rng.permutation(5)
+        phases = np.exp(2j * np.pi * rng.random(5))
+        op = LocalOperator("X", source=perm, phases=phases)
+        expected = np.zeros((5, 5), dtype=np.complex128)
+        for row, col in enumerate(perm):
+            expected[row, col] = phases[row]
+        assert np.array_equal(op.matrix, expected)
+        assert op.matrix is op.matrix
+        with pytest.raises(ValueError):
+            op.matrix[0, 0] = 2.0
+
+    def test_step1_operator_stays_small_until_its_matrix_is_read(self):
+        f = FunctionTable(64, 64, tuple(range(64)))  # M = n_f = 64, so d = 4096
+        tracemalloc.start()
+        try:
+            op = step1_operator(f)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert op.dim == 4096
+        assert peak < 1 << 20  # the dense matrix would take 256 MiB
 
 
 class TestMeasurement:

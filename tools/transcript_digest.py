@@ -11,13 +11,17 @@ digest of the final amplitudes, and whether run_in_process gave the same
 transcript and amplitudes bytes for bytes.
 
 `compare` prints how many transcripts differ in each top-level field and
-each ledger field, and exits 1 if r or s differs anywhere.
+each ledger field, with the largest difference of each ledger field in
+absolute terms and in ulps of the larger value (of 1.0 when both are
+smaller, as near zero the ulp is no scale), and exits 1 if r or s
+differs anywhere.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import sys
 from collections import Counter
 
@@ -63,15 +67,23 @@ def compare(before_path: str, after_path: str) -> int:
     if len(before["transcripts"]) != len(after["transcripts"]):
         print("transcript counts differ:", len(before["transcripts"]), len(after["transcripts"]))
         return 1
-    differs = Counter()
+    differs, largest = Counter(), {}
     for a, b in pairs:
         differs["any"] += a != b
         for key in a:
             differs[key] += a[key] != b[key]
         for key in a["ledger"]:
-            differs[f"ledger.{key}"] += a["ledger"][key] != b["ledger"][key]
+            x, y = a["ledger"][key], b["ledger"][key]
+            differs[f"ledger.{key}"] += x != y
+            if x != y:
+                gap = abs(x - y)
+                ulps = gap / math.ulp(max(abs(x), abs(y), 1.0))
+                old = largest.get(f"ledger.{key}", (0.0, 0.0))
+                largest[f"ledger.{key}"] = (max(old[0], gap), max(old[1], ulps))
     for key, count in differs.items():
-        print(f"{key}: {count} of {len(pairs)} differ")
+        gap = largest.get(key)
+        tail = f" (largest: {gap[0]:.3g} absolute, {gap[1]:.0f} ulp)" if gap else ""
+        print(f"{key}: {count} of {len(pairs)} differ{tail}")
     print("amps digest:", before["amps"], "->", after["amps"])
     print("run_in_process identical:", before["in_process_same"], "->", after["in_process_same"])
     return 1 if differs["r"] or differs["s"] else 0
