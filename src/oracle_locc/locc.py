@@ -44,6 +44,7 @@ from .oracle import (
 from .quantum import (
     LocalOperator,
     StateVector,
+    _Owned,
     apply_local,
     collapse,
     entanglement_entropy,
@@ -52,6 +53,7 @@ from .quantum import (
     measurement_probabilities,
     reorder,
     tensor,
+    von_neumann_entropy,
 )
 
 SUBSYSTEM_ORDER = ("A", "a", "B", "b")
@@ -187,7 +189,19 @@ def initial_state(f: FunctionTable, input_state: StateVector) -> StateVector:
     j = np.arange(n)
     amps[:, j, :, j] = ab.tensor_view() * (1.0 / np.sqrt(n))
     owners = (ab.owners[0], OWNERS["a"], ab.owners[1], OWNERS["b"])
-    return from_amps(amps.shape, SUBSYSTEM_ORDER, amps.reshape(-1), owners)
+    return StateVector(amps.shape, SUBSYSTEM_ORDER, _Owned(amps), owners)
+
+
+def _with_ancillas(state: StateVector, n: int, r: int, s: int) -> StateVector:
+    """The (A, a, B, b) state with the measured ancillas back at dimension n, in |r> and |s>.
+
+    state holds a and b at dimension 1.  Its amplitudes are scattered into
+    np.zeros, whose untouched pages take no memory.
+    """
+    M, _, N, _ = state.dims
+    amps = np.zeros((M, n, N, n), dtype=np.complex128)
+    amps[:, r, :, s] = state.amps.reshape(M, N)
+    return StateVector(amps.shape, SUBSYSTEM_ORDER, _Owned(amps), state.owners)
 
 
 # --- step operators ------------------------------------------------------
@@ -362,11 +376,17 @@ def execute_script(
     Referee) performs each apply step as parties.apply(step, state, value),
     value being the r or s the step depends on, and is told about each
     measure and send by parties.measured(step, outcome) and sent(step, value).
+    A measured ancilla leaves the state (see collapse): the steps after it
+    see that label at dimension 1, and the returned state has both ancillas
+    back at dimension n_f, in |r> and |s>.
     """
     rng = np.random.default_rng(int(seed))
     script = build_locc_script(f)
     state = initial_state(f, input_state)
-    initial_entropy = entanglement_entropy(state, {"a"})
+    n = state.dim_of("a")
+    # The pair's reduced state on a, before the pair is joined to the input.
+    pair = np.eye(n) / np.sqrt(n)
+    initial_entropy = von_neumann_entropy(pair @ pair.conj().T)
     values: dict[str, int] = {}
     for step in script:
         if step.action == "apply":
@@ -381,7 +401,7 @@ def execute_script(
     final_entropy = entanglement_entropy(state, {"a"})
     ledger = make_ledger(build_partition(f).n_values, initial_entropy, final_entropy)
     transcript = make_transcript(f, int(seed), script, values["r"], values["s"], ledger)
-    return state, transcript
+    return _with_ancillas(state, n, values["r"], values["s"]), transcript
 
 
 def run_locc(
@@ -407,6 +427,7 @@ def run_locc_all_branches(f: FunctionTable, input_state: StateVector) -> list[Br
     """
     parties = LocalParties(f)
     branches = [(initial_state(f, input_state), 1.0, {})]  # (state, probability, values)
+    n = branches[0][0].dim_of("a")
     for step in build_locc_script(f):
         if step.action == "apply":
             branches = [
@@ -423,7 +444,10 @@ def run_locc_all_branches(f: FunctionTable, input_state: StateVector) -> list[Br
                         raise RuntimeError(f"branch {values}, {step.value}={outcome} is empty")
                     forks.append((post, prob * weight, {**values, step.value: outcome}))
             branches = forks
-    return [BranchResult(values["r"], values["s"], prob, state) for state, prob, values in branches]
+    return [
+        BranchResult(values["r"], values["s"], prob, _with_ancillas(state, n, values["r"], values["s"]))
+        for state, prob, values in branches
+    ]
 
 
 def ab_substate(state: StateVector) -> StateVector:

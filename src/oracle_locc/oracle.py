@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import weakref
 from dataclasses import dataclass
 from typing import Any, Mapping
 
@@ -117,14 +118,24 @@ class Partition:
         raise ValueError(f"input {x} not covered by the partition")
 
 
+# One Partition per FunctionTable object.  Both are immutable, so sharing is
+# safe; the keys are weak, so the cache keeps no table alive.
+_PARTITIONS: "weakref.WeakKeyDictionary[FunctionTable, Partition]" = weakref.WeakKeyDictionary()
+
+
 def build_partition(f: FunctionTable) -> Partition:
-    values = sorted(set(f.table))
-    classes = tuple(
-        tuple(x for x in range(f.M) if f.table[x] == v) for v in values
-    )
-    sizes = tuple(len(c) for c in classes)
-    reps = tuple(c[0] for c in classes)
-    return Partition(len(values), tuple(values), classes, sizes, reps)
+    """The level sets of f, built once per table object and then cached."""
+    partition = _PARTITIONS.get(f)
+    if partition is None:
+        values = sorted(set(f.table))
+        classes = tuple(
+            tuple(x for x in range(f.M) if f.table[x] == v) for v in values
+        )
+        sizes = tuple(len(c) for c in classes)
+        reps = tuple(c[0] for c in classes)
+        partition = Partition(len(values), tuple(values), classes, sizes, reps)
+        _PARTITIONS[f] = partition
+    return partition
 
 
 def apply_oracle(

@@ -7,8 +7,9 @@ basis state |k0, k1, ...> is k0*d1*d2*... + k1*d2*... + ...
 
 All operations are pure: inputs are never mutated and amplitude arrays are
 frozen, so values can safely be shared between threads.  An array a caller
-hands to StateVector is copied; one this module has just made, or the frozen
-amplitudes of another state, is kept as it is.
+hands to StateVector is copied; one wrapped in _Owned by the package code
+that has just made it, or the frozen amplitudes of another state, is kept as
+it is.
 
 Each state primitive reads the amplitudes once, as a contiguous
 (pre, block, post) array whose middle axis merges the subsystems it acts
@@ -81,8 +82,7 @@ class StateVector:
         owners = tuple(str(p) for p in owners)
         if len(owners) != len(labels):
             raise ValueError("owners must assign exactly one party per subsystem")
-        total = int(np.prod(dims)) if dims else 1
-        amps = _frozen_complex(self.amps, total)
+        amps = _frozen_complex(self.amps, prod(dims))
         norm2 = float(np.vdot(amps, amps).real)
         if not abs(norm2 - 1.0) <= 1e-9:  # written so that NaN fails too
             raise ValueError(f"state is not normalized: |amps|^2 = {norm2}")
@@ -196,6 +196,8 @@ def tensor(parts: Sequence[StateVector]) -> StateVector:
 def reorder(state: StateVector, labels: Sequence[str]) -> StateVector:
     """Permute subsystems into the given label order."""
     labels = tuple(labels)
+    if labels == state.labels:
+        return state  # states are immutable, so the same order needs no new one
     if sorted(labels) != sorted(state.labels):
         raise ValueError(f"reorder must permute existing labels {state.labels}, got {labels}")
     perm = [state.axis(x) for x in labels]
@@ -203,11 +205,6 @@ def reorder(state: StateVector, labels: Sequence[str]) -> StateVector:
     dims = tuple(state.dims[i] for i in perm)
     owners = tuple(state.owners[i] for i in perm)
     return StateVector(dims, labels, _Owned(amps), owners)
-
-
-def _derived(state: StateVector, amps: np.ndarray) -> StateVector:
-    """A state on the layout of `state` holding freshly made amplitudes."""
-    return StateVector(state.dims, state.labels, _Owned(amps), state.owners)
 
 
 def _grouped(state: StateVector, axes: Sequence[int]) -> tuple[np.ndarray, tuple[int, ...] | None]:
@@ -365,7 +362,7 @@ def apply_local(state: StateVector, op: LocalOperator) -> StateVector:
         if norm == 0:
             raise ValueError("cannot normalize the zero vector")
         amps /= norm
-    return _derived(state, amps)
+    return StateVector(state.dims, state.labels, _Owned(amps), state.owners)
 
 
 def measurement_probabilities(state: StateVector, label: str) -> np.ndarray:
@@ -377,8 +374,10 @@ def measurement_probabilities(state: StateVector, label: str) -> np.ndarray:
 def collapse(state: StateVector, label: str, outcome: int) -> tuple[float, StateVector | None]:
     """Project a subsystem onto a basis outcome.
 
-    Returns the branch probability and the renormalized post-measurement
-    state (None when the branch has zero weight).
+    Returns the branch probability and the renormalized surviving slice
+    (None when the branch has zero weight).  The measured subsystem keeps
+    its label but leaves the state at dimension 1: the outcome says which
+    basis state it sits in, so it carries no amplitude of its own.
     """
     axis = state.axis(label)
     d = state.dims[axis]
@@ -388,14 +387,18 @@ def collapse(state: StateVector, label: str, outcome: int) -> tuple[float, State
     prob = float(_outcome_weights(psi3[:, outcome : outcome + 1])[0])
     if prob <= 0.0:
         return 0.0, None
-    out = np.zeros_like(psi3)
-    np.divide(psi3[:, outcome], np.sqrt(prob), out=out[:, outcome])
-    return prob, _derived(state, out.reshape(-1))
+    dims = state.dims[:axis] + (1,) + state.dims[axis + 1 :]
+    return prob, StateVector(dims, state.labels, _Owned(psi3[:, outcome] / np.sqrt(prob)),
+                             state.owners)
 
 
 @dataclass(frozen=True, eq=False)
 class MeasurementRecord:
-    """One projective computational-basis measurement and its outcome."""
+    """One projective computational-basis measurement and its outcome.
+
+    post_state is the collapsed state, with the measured subsystem at
+    dimension 1 (see collapse).
+    """
 
     subsystem: str
     outcome: int
@@ -458,7 +461,11 @@ def partial_trace(state: StateVector, keep: Iterable[str]) -> np.ndarray:
 
 def entanglement_entropy(state: StateVector, cut: Iterable[str]) -> float:
     """Von Neumann entropy (base 2) of the reduced state on `cut`, in ebits."""
-    rho = partial_trace(state, cut)
+    return von_neumann_entropy(partial_trace(state, cut))
+
+
+def von_neumann_entropy(rho: np.ndarray) -> float:
+    """Von Neumann entropy (base 2) of a density matrix."""
     eigenvalues = np.linalg.eigvalsh(rho)
     eigenvalues = eigenvalues[eigenvalues > ENTROPY_EIGENVALUE_CUTOFF]
     return float(-np.sum(eigenvalues * np.log2(eigenvalues)) + 0.0)

@@ -9,11 +9,13 @@ from numpy.testing import assert_allclose
 from oracle_locc.locc import (
     BASIS_STATE_TOL,
     OWNERS,
+    LocalParties,
     SUBSYSTEM_ORDER,
     ab_substate,
     authorized,
     build_locc_script,
     build_step_operator,
+    execute_script,
     initial_state,
     make_ledger,
     reference_final_state,
@@ -97,6 +99,21 @@ def build_stage(f, c, stage, r=None, s=None):
     return out.reshape(-1)
 
 
+def surviving(f, full, r, s=None):
+    """The part of a full (A, a, B, b) stage that a state with a (and b) measured keeps.
+
+    Every other amplitude of the stage must be zero: the measured ancilla
+    holds nothing that the collapsed state, with it at dimension 1, drops.
+    """
+    n = len(set(f.table))
+    full = full.reshape(f.M, n, f.N, n)
+    index = (slice(None), slice(r, r + 1), slice(None), slice(None) if s is None else slice(s, s + 1))
+    rest = np.ones(full.shape, dtype=bool)
+    rest[index] = False
+    assert_allclose(full[rest], 0, rtol=0, atol=1e-12)
+    return full[index]
+
+
 class TestStepOperators:
     def test_step1_permutes_ancilla_by_class_index(self):
         f = FunctionTable(4, 3, (2, 0, 2, 1))
@@ -171,6 +188,10 @@ class TestIntermediateStates:
         c = inp.tensor_view()
         n = build_partition(f).n_values
 
+        def check(state, name, r, s=None):
+            expected = surviving(f, build_stage(f, c, name, r=r, s=s), r, s)
+            assert_allclose(state.tensor_view(), expected, atol=1e-12)
+
         state0 = initial_state(f, inp)
         assert_allclose(state0.amps, build_stage(f, c, "initial"), atol=1e-12)
         state1 = apply_local(state0, step1_operator(f))
@@ -179,26 +200,23 @@ class TestIntermediateStates:
         for r in range(n):
             prob_r, state2 = collapse(state1, "a", r)
             assert abs(prob_r - 1.0 / n) <= 1e-12
-            assert_allclose(state2.amps, build_stage(f, c, "after2", r=r), atol=1e-12)
+            check(state2, "after2", r)
             state3 = apply_local(state2, step3_operator(f, r))
-            assert_allclose(state3.amps, build_stage(f, c, "after3", r=r), atol=1e-12)
+            check(state3, "after3", r)
             state4 = apply_local(state3, step4_operator(f))
-            assert_allclose(state4.amps, build_stage(f, c, "after4", r=r), atol=1e-12)
+            check(state4, "after4", r)
             state5 = apply_local(state4, step5_operator(f))
-            assert_allclose(state5.amps, build_stage(f, c, "after5", r=r), atol=1e-12)
+            check(state5, "after5", r)
 
             for s in range(n):
                 prob_s, state6 = collapse(state5, "b", s)
                 assert abs(prob_s - 1.0 / n) <= 1e-12
-                assert_allclose(
-                    state6.amps, build_stage(f, c, "after6", r=r, s=s), atol=1e-12
-                )
+                check(state6, "after6", r, s)
                 state7 = apply_local(state6, step7_operator(f, s))
+                check(state7, "after7", r, s)
                 assert_allclose(
-                    state7.amps, build_stage(f, c, "after7", r=r, s=s), atol=1e-12
-                )
-                assert_allclose(
-                    state7.amps, reference_final_state(f, inp, r, s).amps, atol=1e-12
+                    state7.tensor_view(),
+                    surviving(f, reference_final_state(f, inp, r, s).amps, r, s), atol=1e-12,
                 )
 
     def test_initial_state_layout(self):
@@ -211,6 +229,28 @@ class TestIntermediateStates:
         for x, j, y in np.ndindex(3, 2, 2):
             expected[x, j, y, j] = inp.tensor_view()[x, y] / np.sqrt(2)
         assert_allclose(state.tensor_view(), expected, rtol=0, atol=1e-15)
+
+
+class TestMeasuredAncillasLeaveTheState:
+    def test_steps_after_a_measurement_see_that_ancilla_at_dimension_1(self):
+        class Spy(LocalParties):
+            def __init__(self, f):
+                super().__init__(f)
+                self.seen = {}
+
+            def apply(self, step, state, value):
+                self.seen[step.step] = (state.dim_of("a"), state.dim_of("b"))
+                return super().apply(step, state, value)
+
+        f = FunctionTable(4, 3, (2, 0, 2, 1))  # n_f = 3
+        inp = random_state((4, 3), ("A", "B"), np.random.default_rng(11))
+        spy = Spy(f)
+        final, transcript = execute_script(f, inp, 4, spy)
+        assert spy.seen == {1: (3, 3), 3: (1, 3), 4: (1, 3), 5: (1, 3), 7: (1, 1)}
+        assert final.dims == (4, 3, 3, 3)
+        assert_allclose(
+            final.amps, reference_final_state(f, inp, transcript.r, transcript.s).amps, atol=1e-12
+        )
 
 
 class TestRunLocc:

@@ -1,10 +1,14 @@
 """Function tables, partitions, oracle matrices, phase algebra, Schmidt form."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+from oracle_locc import oracle
 from oracle_locc.oracle import (
     FunctionTable,
     apply_oracle,
@@ -106,6 +110,27 @@ class TestPartition:
         seen = sorted(x for cls in partition.classes for x in cls)
         assert seen == list(range(f.M))
         assert partition.n_values <= min(f.M, f.N)
+
+    def test_partition_is_cached_per_table_object(self, rng):
+        for _ in range(20):
+            f = random_table(rng, 6, 6)
+            partition = build_partition(f)
+            assert build_partition(f) is partition
+            fresh = build_partition(FunctionTable(f.M, f.N, f.table))  # another object: built anew
+            assert fresh is not partition
+            for field in ("n_values", "values", "classes", "sizes", "reps"):
+                assert getattr(fresh, field) == getattr(partition, field)
+
+    def test_partition_cache_keeps_no_table_alive(self):
+        f = FunctionTable(3, 2, (1, 0, 1))
+        build_partition(f)
+        alive = weakref.ref(f)
+        gc.collect()  # so that only f leaves the cache below
+        entries = len(oracle._PARTITIONS)
+        del f
+        gc.collect()
+        assert alive() is None
+        assert len(oracle._PARTITIONS) == entries - 1
 
     def test_class_index_lookup(self):
         partition = build_partition(FunctionTable(4, 3, (2, 0, 2, 1)))

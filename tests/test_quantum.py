@@ -104,6 +104,7 @@ class TestTensorAndReorder:
         assert swapped.dims == (4, 2, 3)
         back = reorder(swapped, ("A", "B", "C"))
         assert_allclose(back.amps, state.amps, atol=0)
+        assert reorder(state, state.labels) is state
 
     def test_reorder_rejects_bad_labels(self):
         with pytest.raises(ValueError):
@@ -295,10 +296,9 @@ class TestKernels:
             outcome = int(np.argmax(expected))
             prob, post = collapse(state, self.LABELS[axis], outcome)
             assert prob == probs[outcome]
-            projected = np.zeros_like(moved)
-            projected[outcome] = moved[outcome] / np.sqrt(expected[outcome])
-            assert_allclose(post.tensor_view(), np.moveaxis(projected, 0, axis),
-                            rtol=0, atol=1e-12)
+            kept = moved[outcome : outcome + 1] / np.sqrt(expected[outcome])
+            assert post.dims == dims[:axis] + (1,) + dims[axis + 1 :]
+            assert_allclose(post.tensor_view(), np.moveaxis(kept, 0, axis), rtol=0, atol=1e-12)
 
     def test_partial_trace_on_random_keep_sets(self, rng):
         for _ in range(30):
@@ -418,7 +418,8 @@ class TestMeasurement:
         assert_allclose(probs, [0.5, 0.5], atol=1e-12)
         prob, post = collapse(bell_pair(), "A", 1)
         assert abs(prob - 0.5) <= 1e-12
-        assert_allclose(post.amps, [0, 0, 0, 1], atol=1e-12)
+        assert post.dims == (1, 2)
+        assert_allclose(post.amps, [0, 1], atol=1e-12)
 
     def test_collapse_zero_branch(self):
         prob, post = collapse(basis_state((2, 2), ("A", "B"), (0, 0)), "A", 1)

@@ -13,8 +13,9 @@ transcript and amplitudes bytes for bytes.
 `compare` prints how many transcripts differ in each top-level field and
 each ledger field, with the largest difference of each ledger field in
 absolute terms and in ulps of the larger value (of 1.0 when both are
-smaller, as near zero the ulp is no scale), and exits 1 if r or s
-differs anywhere.
+smaller, as near zero the ulp is no scale).  It exits 1 if r or s
+differs anywhere, or if run_in_process matched run_locc in BEFORE and no
+longer does in AFTER.
 """
 
 from __future__ import annotations
@@ -86,7 +87,8 @@ def compare(before_path: str, after_path: str) -> int:
         print(f"{key}: {count} of {len(pairs)} differ{tail}")
     print("amps digest:", before["amps"], "->", after["amps"])
     print("run_in_process identical:", before["in_process_same"], "->", after["in_process_same"])
-    return 1 if differs["r"] or differs["s"] else 0
+    lost_in_process = before["in_process_same"] and not after["in_process_same"]
+    return 1 if differs["r"] or differs["s"] or lost_in_process else 0
 
 
 if __name__ == "__main__":
