@@ -8,9 +8,9 @@ Subcommands:
   serve       referee side of a two-process socket run
   connect     one party endpoint of a two-process socket run
 
-Exit codes: 0 success, 1 verification failure, 2 usage or config error,
-3 transport error.  Set ORACLE_LOCC_LOG=DEBUG (or any logging level name)
-for progress on stderr.
+Exit codes: 0 success, 1 verification or protocol failure, 2 usage or
+config error, 3 transport error.  Set ORACLE_LOCC_LOG=DEBUG (or any
+logging level name) for progress on stderr.
 """
 
 from __future__ import annotations
@@ -26,7 +26,17 @@ from pathlib import Path
 import numpy as np
 
 from .locc import run_locc_all_branches, run_locc, ab_substate
-from .netsim import DEFAULT_TIMEOUT, TransportError, connect_socket, run_in_process, serve_socket
+from .netsim import (
+    DEFAULT_TIMEOUT,
+    HandshakeMismatch,
+    LocalityViolation,
+    ProtocolOrderError,
+    TransportError,
+    WireFormatError,
+    connect_socket,
+    run_in_process,
+    serve_socket,
+)
 from .oracle import (
     MAX_DENSE_ORACLE_DIM,
     FunctionTable,
@@ -467,6 +477,9 @@ def main(argv=None) -> int:
     except TransportError as exc:
         print(f"transport error: {exc}", file=sys.stderr)
         return EXIT_TRANSPORT
+    except (LocalityViolation, ProtocolOrderError, WireFormatError, HandshakeMismatch) as exc:
+        print(f"protocol error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_VERIFY_FAILED
 
 
 if __name__ == "__main__":

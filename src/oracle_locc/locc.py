@@ -188,8 +188,7 @@ def initial_state(f: FunctionTable, input_state: StateVector) -> StateVector:
     amps = np.zeros((f.M, n, f.N, n), dtype=np.complex128)
     j = np.arange(n)
     amps[:, j, :, j] = ab.tensor_view() * (1.0 / np.sqrt(n))
-    owners = (ab.owners[0], OWNERS["a"], ab.owners[1], OWNERS["b"])
-    return StateVector(amps.shape, SUBSYSTEM_ORDER, _Owned(amps), owners)
+    return StateVector(amps.shape, SUBSYSTEM_ORDER, _Owned(amps))
 
 
 def _with_ancillas(state: StateVector, n: int, r: int, s: int) -> StateVector:
@@ -201,7 +200,7 @@ def _with_ancillas(state: StateVector, n: int, r: int, s: int) -> StateVector:
     M, _, N, _ = state.dims
     amps = np.zeros((M, n, N, n), dtype=np.complex128)
     amps[:, r, :, s] = state.amps.reshape(M, N)
-    return StateVector(amps.shape, SUBSYSTEM_ORDER, _Owned(amps), state.owners)
+    return StateVector(amps.shape, SUBSYSTEM_ORDER, _Owned(amps))
 
 
 # --- step operators ------------------------------------------------------

@@ -469,16 +469,6 @@ class Referee:
             raise LocalityViolation(f"{party} may not act on {foreign}")
 
 
-def referee_execute(
-    f: FunctionTable,
-    input_state: StateVector,
-    seed: int,
-    connections: list[Connection],
-) -> tuple[StateVector, Transcript]:
-    """Run the referee side of a distributed execution over open connections."""
-    return Referee(f, input_state, seed).execute(connections)
-
-
 # --- party endpoint -------------------------------------------------------
 
 class PartyEndpoint:
@@ -563,7 +553,7 @@ def run_in_process(
         t.start()
     try:
         try:
-            state, transcript = referee_execute(f, input_state, seed, connections)
+            state, transcript = Referee(f, input_state, seed).execute(connections)
         finally:
             for t in threads:
                 t.join(timeout=timeout)

@@ -157,7 +157,7 @@ def apply_oracle(
         if shift:
             psi[x] = np.roll(psi[x], shift, axis=0)
     psi = np.moveaxis(psi, (0, 1), (c_axis, t_axis))
-    return StateVector(state.dims, state.labels, psi.reshape(-1), state.owners)
+    return StateVector(state.dims, state.labels, psi.reshape(-1))
 
 
 def oracle_matrix(f: FunctionTable) -> np.ndarray:

@@ -103,8 +103,8 @@ def backward_decode_states(f: FunctionTable, partition: Partition | None = None)
     return states
 
 
-def grading_unitary(f: FunctionTable, s: int, partition: Partition | None = None) -> np.ndarray:
-    """Bob's encoding: phase e^{2 pi i j s/n_f} on |(N - f_j) mod N>, identity elsewhere.
+def _grading_phases(f: FunctionTable, s: int, partition: Partition | None = None) -> np.ndarray:
+    """Bob's encoding: phase e^{2 pi i j s/n_f} on |(N - f_j) mod N>, 1 elsewhere.
 
     The phased positions are exactly the support of Bob's half of the
     pre-shared state, so any unitary completion would act the same way;
@@ -112,10 +112,18 @@ def grading_unitary(f: FunctionTable, s: int, partition: Partition | None = None
     """
     partition = partition or build_partition(f)
     s = _check_message(s, partition.n_values, "s")
-    diag = np.ones(f.N, dtype=np.complex128)
-    for j, value in enumerate(partition.values):
-        diag[(f.N - value) % f.N] = np.exp(2j * np.pi * j * s / partition.n_values)
-    return np.diag(diag)
+    n = partition.n_values
+    phases = np.ones(f.N, dtype=np.complex128)
+    # Divided as Python complex numbers: numpy divides an array by n through
+    # 1/n, which moves some angles by an ulp.
+    angles = [2j * np.pi * j * s / n for j in range(n)]
+    phases[(f.N - np.array(partition.values)) % f.N] = np.exp(angles)
+    return phases
+
+
+def grading_unitary(f: FunctionTable, s: int, partition: Partition | None = None) -> np.ndarray:
+    """Bob's encoding as a diagonal matrix (see _grading_phases)."""
+    return np.diag(_grading_phases(f, s, partition))
 
 
 def send_backward(f: FunctionTable, s: int) -> ProtocolResult:
@@ -133,7 +141,8 @@ def send_backward(f: FunctionTable, s: int) -> ProtocolResult:
     for j in range(n):
         amps[partition.reps[j], (f.N - partition.values[j]) % f.N] = 1.0 / np.sqrt(n)
     shared = from_amps((f.M, f.N), ("A", "B"), amps.reshape(-1))
-    graded = apply_local(shared, LocalOperator("B", grading_unitary(f, s, partition)))
+    grading = LocalOperator("B", source=np.arange(f.N), phases=_grading_phases(f, s, partition))
+    graded = apply_local(shared, grading)
     final = apply_oracle(f, graded)
     decode = backward_decode_states(f, partition)
     projected = decode.conj() @ final.tensor_view()
@@ -158,31 +167,25 @@ def send_bidirectional(f: FunctionTable, r: int, s: int) -> ProtocolResult:
     M = f.M
     r = _check_message(r, M, "r")
     s = _check_message(s, M, "s")
-    inverse = np.empty(M, dtype=int)
-    for x in range(M):
-        inverse[f.table[x]] = x
+    x = np.arange(M)
+    ones = np.ones(M)
 
     amps = np.zeros((M, M), dtype=np.complex128)
-    for x in range(M):
-        amps[x, (M - x) % M] = 1.0 / np.sqrt(M)
+    amps[x, (M - x) % M] = 1.0 / np.sqrt(M)
     state = from_amps((M, M), ("A", "B"), amps.reshape(-1))
 
-    alice_encode = np.zeros((M, M), dtype=np.complex128)
-    for x in range(M):
-        alice_encode[inverse[(x + r) % M], x] = 1.0
-    bob_encode = np.diag(np.exp(-2j * np.pi * s * np.arange(M) / M))
-    state = apply_local(state, LocalOperator("A", alice_encode))
-    state = apply_local(state, LocalOperator("B", bob_encode))
+    # Alice's relabelling |x> -> |f^{-1}(x + r)>: row i holds its 1 in column f(i) - r.
+    alice_source = (np.array(f.table) - r) % M
+    bob_phases = np.exp(-2j * np.pi * s * x / M)
+    state = apply_local(state, LocalOperator("A", source=alice_source, phases=ones))
+    state = apply_local(state, LocalOperator("B", source=x, phases=bob_phases))
 
     state = apply_oracle(f, state)
 
-    state = apply_local(state, LocalOperator("A", alice_encode.conj().T))
+    state = apply_local(state, LocalOperator("A", source=np.argsort(alice_source), phases=ones))
     # Relabelling |r'><M + r' mod M| is the identity on Z_M; applied anyway
     # so the implemented sequence matches the protocol step for step.
-    relabel = np.zeros((M, M), dtype=np.complex128)
-    for rp in range(M):
-        relabel[rp, (M + rp) % M] = 1.0
-    final = apply_local(state, LocalOperator("B", relabel))
+    final = apply_local(state, LocalOperator("B", source=(M + x) % M, phases=ones))
 
     alice_basis = phase_states(M)
     joint = alice_basis.conj() @ final.tensor_view()  # [s', r'] amplitude

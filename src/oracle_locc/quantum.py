@@ -1,9 +1,8 @@
 """Dense state-vector simulation of small multipartite quantum systems.
 
-Subsystems are identified by string labels and carry an ownership tag
-(which party holds them).  Basis ordering is row-major with the leftmost
-subsystem most significant, i.e. for dims (d0, d1, ...) the flat index of
-basis state |k0, k1, ...> is k0*d1*d2*... + k1*d2*... + ...
+Subsystems are identified by string labels.  Basis ordering is row-major
+with the leftmost subsystem most significant, i.e. for dims (d0, d1, ...)
+the flat index of basis state |k0, k1, ...> is k0*d1*d2*... + k1*d2*... + ...
 
 All operations are pure: inputs are never mutated and amplitude arrays are
 frozen, so values can safely be shared between threads.  An array a caller
@@ -34,12 +33,6 @@ SCHMIDT_RANK_REL_CUTOFF = 1e-10
 _TRACE_CHUNK = 4096
 
 
-def _default_owner(label: str) -> str:
-    # Convention used throughout: registers B and b sit with Bob,
-    # everything else with Alice.  Pass owners explicitly to override.
-    return "bob" if label[:1] in ("b", "B") else "alice"
-
-
 class _Owned:
     """Amplitudes no caller holds a writable reference to: StateVector keeps them uncopied."""
 
@@ -67,7 +60,6 @@ class StateVector:
     dims: tuple[int, ...]
     labels: tuple[str, ...]
     amps: np.ndarray
-    owners: tuple[str, ...] = ()
 
     def __post_init__(self):
         dims = tuple(int(d) for d in self.dims)
@@ -78,17 +70,12 @@ class StateVector:
             raise ValueError("subsystem dimensions must be >= 1")
         if len(set(labels)) != len(labels):
             raise ValueError(f"duplicate subsystem labels in {labels}")
-        owners = self.owners or tuple(_default_owner(x) for x in labels)
-        owners = tuple(str(p) for p in owners)
-        if len(owners) != len(labels):
-            raise ValueError("owners must assign exactly one party per subsystem")
         amps = _frozen_complex(self.amps, prod(dims))
         norm2 = float(np.vdot(amps, amps).real)
         if not abs(norm2 - 1.0) <= 1e-9:  # written so that NaN fails too
             raise ValueError(f"state is not normalized: |amps|^2 = {norm2}")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "owners", owners)
         object.__setattr__(self, "amps", amps)
 
     def axis(self, label: str) -> int:
@@ -121,7 +108,6 @@ def basis_state(
     dims: Sequence[int],
     labels: Sequence[str],
     indices: Sequence[int] | int,
-    owners: Sequence[str] | None = None,
 ) -> StateVector:
     """Computational basis state |k0, k1, ...> (or flat index if an int)."""
     dims = tuple(int(d) for d in dims)
@@ -140,14 +126,13 @@ def basis_state(
         raise ValueError(f"flat index {flat} out of range for total dimension {total}")
     amps = np.zeros(total, dtype=np.complex128)
     amps[flat] = 1.0
-    return StateVector(dims, tuple(labels), _Owned(amps), tuple(owners) if owners else ())
+    return StateVector(dims, tuple(labels), _Owned(amps))
 
 
 def from_amps(
     dims: Sequence[int],
     labels: Sequence[str],
     amps,
-    owners: Sequence[str] | None = None,
     normalize: bool = False,
 ) -> StateVector:
     """Wrap an explicit amplitude vector, optionally normalizing it first."""
@@ -157,21 +142,20 @@ def from_amps(
         if n == 0:
             raise ValueError("cannot normalize the zero vector")
         arr = _Owned(arr / n)
-    return StateVector(tuple(dims), tuple(labels), arr, tuple(owners) if owners else ())
+    return StateVector(tuple(dims), tuple(labels), arr)
 
 
 def random_state(
     dims: Sequence[int],
     labels: Sequence[str],
     rng: np.random.Generator | int,
-    owners: Sequence[str] | None = None,
 ) -> StateVector:
     """Normalized state with i.i.d. complex Gaussian amplitudes."""
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
     total = int(np.prod(tuple(dims)))
     amps = rng.standard_normal(total) + 1j * rng.standard_normal(total)
-    return from_amps(dims, labels, amps, owners, normalize=True)
+    return from_amps(dims, labels, amps, normalize=True)
 
 
 def tensor(parts: Sequence[StateVector]) -> StateVector:
@@ -189,8 +173,7 @@ def tensor(parts: Sequence[StateVector]) -> StateVector:
         amps = np.kron(amps, p.amps)
     dims = tuple(d for p in parts for d in p.dims)
     labels = tuple(x for p in parts for x in p.labels)
-    owners = tuple(o for p in parts for o in p.owners)
-    return StateVector(dims, labels, _Owned(amps), owners)
+    return StateVector(dims, labels, _Owned(amps))
 
 
 def reorder(state: StateVector, labels: Sequence[str]) -> StateVector:
@@ -203,8 +186,7 @@ def reorder(state: StateVector, labels: Sequence[str]) -> StateVector:
     perm = [state.axis(x) for x in labels]
     amps = np.transpose(state.tensor_view(), perm).reshape(-1)
     dims = tuple(state.dims[i] for i in perm)
-    owners = tuple(state.owners[i] for i in perm)
-    return StateVector(dims, labels, _Owned(amps), owners)
+    return StateVector(dims, labels, _Owned(amps))
 
 
 def _grouped(state: StateVector, axes: Sequence[int]) -> tuple[np.ndarray, tuple[int, ...] | None]:
@@ -239,40 +221,22 @@ def _outcome_weights(psi3: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->j", real, real).reshape(d, -1).sum(axis=1)
 
 
-def _monomial_form(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """(source, phases) with mat[i, source[i]] = phases[i] and all else zero, or None.
-
-    A NaN entry counts as nonzero, so it either makes the matrix dense or
-    lands in the phases, where the unitarity check refuses it.
-    """
-    nonzero = mat != 0
-    d = len(mat)
-    if np.count_nonzero(nonzero) != d:
-        return None
-    if not (nonzero.any(axis=0).all() and nonzero.any(axis=1).all()):
-        return None  # d nonzeros and no empty row or column means one in each
-    source = nonzero.argmax(axis=1)
-    return source, mat[np.arange(d), source]
-
-
 @dataclass(frozen=True, eq=False)
 class LocalOperator:
     """Operator acting on one subsystem or an ordered pair of subsystems.
 
     The operator is indexed row-major over the target dims in the order
     given.  It is given either as a dense matrix, unitary within
-    UNITARY_TOL unless flagged as a projector, or as a monomial unitary
-    (a permutation times phases) by source and phases alone, matrix[i,
-    source[i]] being phases[i].  source must be a permutation and each
-    phase of modulus 1 within UNITARY_TOL.  A dense matrix that is monomial
-    gets its source and phases too, and every monomial operator is applied
-    by gathering.  The matrix of one given by source and phases is built
-    only when it is first read.
+    UNITARY_TOL and applied by a matmul, or as a monomial unitary (a
+    permutation times phases) by source and phases alone, matrix[i,
+    source[i]] being phases[i], and applied by a gather.  source must be a
+    permutation and each phase of modulus 1 within UNITARY_TOL.  A dense
+    matrix stays dense whatever its entries; the matrix of an operator
+    given by source and phases is built only when it is first read.
     """
 
     target: str | tuple[str, str]
     dense: np.ndarray | None = field(default=None, repr=False)
-    is_projector: bool = False
     description: str = ""
     source: np.ndarray | None = field(default=None, repr=False)
     phases: np.ndarray | None = field(default=None, repr=False)
@@ -284,38 +248,29 @@ class LocalOperator:
                 raise ValueError(f"operator matrix must be square, got shape {mat.shape}")
             mat.setflags(write=False)
             object.__setattr__(self, "dense", mat)
-            if not self.is_projector:
-                monomial = _monomial_form(mat)
-                if monomial is None:
-                    dev = np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[0])))
-                    if not dev <= UNITARY_TOL:  # written so that NaN fails too
-                        raise ValueError(f"operator is not unitary (max deviation {dev:.3e})")
-                else:
-                    self._set_monomial(*monomial)
+            dev = np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[0])))
+            if not dev <= UNITARY_TOL:  # written so that NaN fails too
+                raise ValueError(f"operator is not unitary (max deviation {dev:.3e})")
         else:
-            if self.dense is not None or self.is_projector:
+            if self.dense is not None:
                 raise ValueError("an operator given by source and phases takes no matrix")
-            self._set_monomial(np.array(self.source, dtype=np.intp),
-                               np.array(self.phases, dtype=np.complex128))
-        if isinstance(self.target, str):
-            object.__setattr__(self, "target", self.target)
-        else:
+            source = np.array(self.source, dtype=np.intp)
+            phases = np.array(self.phases, dtype=np.complex128)
+            d = source.size
+            if source.ndim != 1 or phases.shape != source.shape or d == 0:
+                raise ValueError("source and phases must be nonempty vectors of equal length")
+            if source.min() < 0 or source.max() >= d or np.any(np.bincount(source) != 1):
+                raise ValueError("operator source is not a permutation")
+            # U^dagger U is diagonal with entries |phase|^2.
+            dev = np.abs(np.abs(phases) ** 2 - 1.0).max()
+            if not dev <= UNITARY_TOL:  # written so that NaN fails too
+                raise ValueError(f"operator is not unitary (max deviation {dev:.3e})")
+            source.setflags(write=False)
+            phases.setflags(write=False)
+            object.__setattr__(self, "source", source)
+            object.__setattr__(self, "phases", phases)
+        if not isinstance(self.target, str):
             object.__setattr__(self, "target", tuple(self.target))
-
-    def _set_monomial(self, source: np.ndarray, phases: np.ndarray) -> None:
-        d = source.size
-        if source.ndim != 1 or phases.shape != source.shape or d == 0:
-            raise ValueError("source and phases must be nonempty vectors of equal length")
-        if source.min() < 0 or source.max() >= d or np.any(np.bincount(source) != 1):
-            raise ValueError("operator source is not a permutation")
-        # U^dagger U is diagonal with entries |phase|^2.
-        dev = np.abs(np.abs(phases) ** 2 - 1.0).max()
-        if not dev <= UNITARY_TOL:  # written so that NaN fails too
-            raise ValueError(f"operator is not unitary (max deviation {dev:.3e})")
-        source.setflags(write=False)
-        phases.setflags(write=False)
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "phases", phases)
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -356,13 +311,7 @@ def apply_local(state: StateVector, op: LocalOperator) -> StateVector:
         out = psi3.reshape(-1, block) @ op.matrix.T
     else:
         out = np.matmul(op.matrix, psi3)
-    amps = _ungrouped(out, state.dims, order)
-    if op.is_projector:
-        norm = np.linalg.norm(amps)
-        if norm == 0:
-            raise ValueError("cannot normalize the zero vector")
-        amps /= norm
-    return StateVector(state.dims, state.labels, _Owned(amps), state.owners)
+    return StateVector(state.dims, state.labels, _Owned(_ungrouped(out, state.dims, order)))
 
 
 def measurement_probabilities(state: StateVector, label: str) -> np.ndarray:
@@ -388,8 +337,7 @@ def collapse(state: StateVector, label: str, outcome: int) -> tuple[float, State
     if prob <= 0.0:
         return 0.0, None
     dims = state.dims[:axis] + (1,) + state.dims[axis + 1 :]
-    return prob, StateVector(dims, state.labels, _Owned(psi3[:, outcome] / np.sqrt(prob)),
-                             state.owners)
+    return prob, StateVector(dims, state.labels, _Owned(psi3[:, outcome] / np.sqrt(prob)))
 
 
 @dataclass(frozen=True, eq=False)

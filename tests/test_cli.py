@@ -13,6 +13,7 @@ from oracle_locc.cli import _Check, main
 from conftest import ROOT, cli_command, src_env
 
 IDENTITY2 = '{"M": 2, "N": 2, "table": [0, 1]}'
+SWAP2 = '{"M": 2, "N": 2, "table": [1, 0]}'
 CONSTANT22 = '{"M": 2, "N": 2, "table": [0, 0]}'
 THREE_CYCLE = '{"M": 3, "N": 3, "table": [1, 2, 0]}'
 NON_PERM = '{"M": 3, "N": 3, "table": [0, 0, 1]}'
@@ -287,6 +288,34 @@ class TestScriptProcess:
             server.wait()
         direct = run_script("run", "--f", THREE_CYCLE, "--seed", "11", check=True)
         assert out == direct.stdout  # byte-identical transcripts across transports
+
+    def test_protocol_error_in_serve_connect_is_one_line_per_process(self):
+        # Alice declares a different table, so the referee's handshake fails.
+        command, env = cli_command()
+        server = subprocess.Popen(
+            [*command, "serve", "--f", IDENTITY2, "--port", "0", "--timeout", "20"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        )
+        clients = []
+        try:
+            announcement = server.stderr.readline()
+            assert announcement.startswith("listening on ")
+            port = int(announcement.strip().rsplit(":", 1)[1])
+            for role, table in (("alice", SWAP2), ("bob", IDENTITY2)):
+                clients.append(subprocess.Popen(
+                    [*command, "connect", "--role", role, "--f", table,
+                     "--port", str(port), "--timeout", "20"],
+                    stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+                ))
+            errors = [proc.communicate(timeout=60)[1] for proc in (server, *clients)]
+        finally:
+            for proc in (server, *clients):
+                proc.kill()
+                proc.wait()
+        for proc, err in zip((server, *clients), errors):
+            assert proc.returncode == 1, err
+            assert err.count("\n") == 1 and "Traceback" not in err, err
+            assert err.startswith("protocol error: HandshakeMismatch: "), err
 
     def test_party_failure_is_one_line_naming_its_cause(self):
         proc = run_script("run", "--f", BEYOND_FRAME_CAP, "--seed", "1")

@@ -25,6 +25,7 @@ from oracle_locc.netsim import (
     MAX_FRAME_BYTES,
     ProtocolOrderError,
     QueueChannel,
+    Referee,
     SocketChannel,
     TransportError,
     WireFormatError,
@@ -34,7 +35,6 @@ from oracle_locc.netsim import (
     decode_wire,
     encode_matrix,
     encode_wire,
-    referee_execute,
     run_in_process,
     serve_socket,
 )
@@ -332,7 +332,7 @@ class RefereeHarness:
 
     def _run(self, inp, seed):
         try:
-            self.outcome["result"] = referee_execute(self.f, inp, seed, self._connections)
+            self.outcome["result"] = Referee(self.f, inp, seed).execute(self._connections)
         except BaseException as exc:
             self.outcome["error"] = exc
 
@@ -661,7 +661,7 @@ class TestWireAccounting:
         threads = [threading.Thread(target=e.run, daemon=True) for e in endpoints]
         for t in threads:
             t.start()
-        _, transcript = referee_execute(f, inp, 3, connections)
+        _, transcript = Referee(f, inp, 3).execute(connections)
         for t in threads:
             t.join(timeout=5.0)
 

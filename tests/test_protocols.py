@@ -13,6 +13,7 @@ from oracle_locc.oracle import (
     oracle_matrix,
 )
 from oracle_locc.protocols import (
+    DECODE_TOL,
     backward_decode_states,
     entangle_protocol,
     grading_unitary,
@@ -185,6 +186,16 @@ class TestBidirectional:
                     result = send_bidirectional(f, r, s)
                     assert result.success and result.decoded == (r, s)
                     assert abs(result.outcome_probabilities[r, s] - 1.0) <= 1e-10
+
+    @pytest.mark.parametrize("M", [5, 8, 13])
+    def test_every_pair_for_random_larger_permutations(self, rng, M):
+        for _ in range(2):
+            f = FunctionTable(M, M, tuple(int(v) for v in rng.permutation(M)))
+            for r in range(M):
+                for s in range(M):
+                    result = send_bidirectional(f, r, s)
+                    assert result.success and result.decoded == (r, s)
+                    assert abs(result.outcome_probabilities[r, s] - 1.0) <= DECODE_TOL
 
     def test_probability_matrix_shape_and_normalization(self):
         result = send_bidirectional(FunctionTable(3, 3, (2, 0, 1)), 1, 2)

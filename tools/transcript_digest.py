@@ -8,14 +8,22 @@ draws 105 random tables with M, N <= 8 and a random input state for each
 from numpy's default_rng(2024), runs each through run_locc and
 run_in_process for seeds 0-3, and writes the 420 run_locc transcripts, a
 digest of the final amplitudes, and whether run_in_process gave the same
-transcript and amplitudes bytes for bytes.
+transcript and amplitudes bytes for bytes.  It also runs the capacity
+protocols: send_bidirectional on every permutation with M <= 4 for every
+(r, s), and send_forward (every r), send_backward (every s) and
+entangle_protocol on every table with M, N <= 3.  For each run it keeps
+the decoded value and success flag (the ebits, for entangle_protocol)
+and the final amplitudes.
 
 `compare` prints how many transcripts differ in each top-level field and
 each ledger field, with the largest difference of each ledger field in
 absolute terms and in ulps of the larger value (of 1.0 when both are
-smaller, as near zero the ulp is no scale).  It exits 1 if r or s
-differs anywhere, or if run_in_process matched run_locc in BEFORE and no
-longer does in AFTER.
+smaller, as near zero the ulp is no scale).  For each protocol it prints
+how many decoded values or success flags differ and the largest
+difference of an amplitude and of the ebits, compared as values, so
+that the sign of a zero does not count.  It exits 1 if r or s differs
+anywhere, if run_in_process matched run_locc in BEFORE and no longer does
+in AFTER, or if a protocol's decoded value or success flag differs.
 """
 
 from __future__ import annotations
@@ -25,6 +33,7 @@ import json
 import math
 import sys
 from collections import Counter
+from itertools import permutations, product
 
 SEED = 2024
 TABLES = 105
@@ -35,8 +44,8 @@ def record(src: str, out_path: str) -> None:
     sys.path.insert(0, src)
     import numpy as np
 
-    from oracle_locc import locc, netsim, quantum
-    from oracle_locc.oracle import FunctionTable
+    from oracle_locc import locc, netsim, protocols, quantum
+    from oracle_locc.oracle import FunctionTable, build_partition
 
     rng = np.random.default_rng(SEED)
     transcripts, amps, in_process_same = [], hashlib.sha256(), True
@@ -51,12 +60,36 @@ def record(src: str, out_path: str) -> None:
                                 and state2.amps.tobytes() == state.amps.tobytes())
             transcripts.append(transcript.to_json_dict())
             amps.update(state.amps.tobytes())
+
+    def amplitudes(state) -> list:
+        return [[float(a.real), float(a.imag)] for a in state.amps]
+
+    def outcome(result) -> dict:
+        decoded = result.decoded if isinstance(result.decoded, int) else list(result.decoded)
+        return {"decoded": decoded, "success": result.success,
+                "amps": amplitudes(result.final_state)}
+
+    runs = {"bidirectional": [], "forward": [], "backward": [], "entangle": []}
+    for M in range(1, 5):
+        for table in permutations(range(M)):
+            f = FunctionTable(M, M, table)
+            for r, s in product(range(M), repeat=2):
+                runs["bidirectional"].append(outcome(protocols.send_bidirectional(f, r, s)))
+    for M, N in product(range(1, 4), repeat=2):
+        for table in product(range(N), repeat=M):
+            f = FunctionTable(M, N, table)
+            for message in range(build_partition(f).n_values):
+                runs["forward"].append(outcome(protocols.send_forward(f, message)))
+                runs["backward"].append(outcome(protocols.send_backward(f, message)))
+            final, ebits = protocols.entangle_protocol(f)
+            runs["entangle"].append({"ebits": ebits, "amps": amplitudes(final)})
     result = {"transcripts": transcripts, "amps": amps.hexdigest()[:16],
-              "in_process_same": in_process_same}
+              "in_process_same": in_process_same, "protocols": runs}
     with open(out_path, "w") as fh:
         json.dump(result, fh)
     print(f"{len(transcripts)} transcripts; amps {result['amps']}; "
-          f"run_in_process identical: {in_process_same}")
+          f"run_in_process identical: {in_process_same}; protocol runs: "
+          + ", ".join(f"{name} {len(entries)}" for name, entries in runs.items()))
 
 
 def compare(before_path: str, after_path: str) -> int:
@@ -88,7 +121,30 @@ def compare(before_path: str, after_path: str) -> int:
     print("amps digest:", before["amps"], "->", after["amps"])
     print("run_in_process identical:", before["in_process_same"], "->", after["in_process_same"])
     lost_in_process = before["in_process_same"] and not after["in_process_same"]
-    return 1 if differs["r"] or differs["s"] or lost_in_process else 0
+    protocols_differ = compare_protocols(before["protocols"], after["protocols"])
+    return 1 if differs["r"] or differs["s"] or lost_in_process or protocols_differ else 0
+
+
+def compare_protocols(before: dict, after: dict) -> bool:
+    """Print each protocol's differences; True if a decoded value or success flag differs."""
+    any_differ = False
+    for name, runs in before.items():
+        if len(runs) != len(after[name]):
+            print(f"{name}: run counts differ: {len(runs)} -> {len(after[name])}")
+            any_differ = True
+            continue
+        differ, amp_gap, ebits_gap = 0, 0.0, 0.0
+        for a, b in zip(runs, after[name]):
+            differ += (a.get("decoded"), a.get("success")) != (b.get("decoded"), b.get("success"))
+            amp_gap = max([amp_gap] + [abs(complex(*x) - complex(*y))
+                                       for x, y in zip(a["amps"], b["amps"])])
+            if "ebits" in a:
+                ebits_gap = max(ebits_gap, abs(a["ebits"] - b["ebits"]))
+        head = (f"largest ebits difference {ebits_gap:.3g}" if "ebits" in runs[0] else
+                f"{differ} of {len(runs)} differ in decoded value or success")
+        print(f"{name}: {head}; largest amplitude difference {amp_gap:.3g}")
+        any_differ |= differ > 0
+    return any_differ
 
 
 if __name__ == "__main__":
