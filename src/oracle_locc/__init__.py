@@ -16,7 +16,6 @@ from .oracle import (
     minimal_oracle,
     oracle_matrix,
     phase_exponential,
-    phase_operator,
     phase_states,
     schmidt_decompose_oracle,
 )
@@ -74,7 +73,6 @@ __all__ = [
     "oracle_matrix",
     "partial_trace",
     "phase_exponential",
-    "phase_operator",
     "phase_states",
     "random_state",
     "run_locc",

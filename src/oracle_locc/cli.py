@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .locc import run_locc_all_branches, run_locc, ab_substate
+from .locc import run_locc, run_locc_deferred
 from .netsim import (
     DEFAULT_TIMEOUT,
     HandshakeMismatch,
@@ -54,9 +54,10 @@ from .protocols import (
     entangle_protocol,
     send_backward,
     send_bidirectional,
+    send_bidirectional_all,
     send_forward,
 )
-from .quantum import fidelity, operator_schmidt_rank, random_state
+from .quantum import operator_schmidt_rank, random_state
 
 log = logging.getLogger("oracle_locc")
 
@@ -215,8 +216,7 @@ def _check_bidirectional(max_degree: int) -> CheckResult:
     check = _Check("bidirectional_protocol_decodes_exactly")
     for f in all_permutations(max_degree):
         for r in range(f.M):
-            for s in range(f.M):
-                result = send_bidirectional(f, r, s)
+            for s, result in enumerate(send_bidirectional_all(f, r)):
                 dev = abs(result.outcome_probabilities[r, s] - 1.0)
                 if result.decoded != (r, s):
                     dev = max(dev, 1.0)
@@ -225,16 +225,23 @@ def _check_bidirectional(max_degree: int) -> CheckResult:
 
 
 def _check_locc(tables, inputs_per_table: int, rng: np.random.Generator) -> CheckResult:
+    """Every (r, s) branch, as slice [:, r, :, s] of one run_locc_deferred walk per input.
+
+    The branch probability is the slice's weight, and its fidelity with the
+    direct oracle action is |<expected|slice>|^2 / weight.
+    """
     check = _Check("locc_branches_match_direct_oracle")
     for f in tables:
         n = build_partition(f).n_values
         for _ in range(inputs_per_table):
             state = random_state((f.M, f.N), ("A", "B"), rng)
-            expected = apply_oracle(f, state)
-            for branch in run_locc_all_branches(f, state):
-                fid_dev = 1.0 - fidelity(ab_substate(branch.final_state), expected)
-                prob_dev = abs(branch.probability - 1.0 / n**2)
-                check.record(max(fid_dev, prob_dev))
+            expected = apply_oracle(f, state).tensor_view()
+            branches = run_locc_deferred(f, state).tensor_view()  # [x, r, y, s]
+            weights = np.einsum("xrys,xrys->rs", branches.conj(), branches).real
+            overlaps = np.einsum("xy,xrys->rs", expected.conj(), branches)
+            fid_dev = 1.0 - np.abs(overlaps) ** 2 / weights
+            prob_dev = np.abs(weights - 1.0 / n**2)
+            check.record(np.max(np.maximum(fid_dev, prob_dev)), count=n * n)
     return check.result()
 
 
@@ -327,8 +334,8 @@ def cmd_capacities(args) -> int:
     }
     if f.is_permutation():
         for r in range(f.M):
-            for s in range(f.M):
-                if not send_bidirectional(f, r, s).success:
+            for s, result in enumerate(send_bidirectional_all(f, r)):
+                if not result.success:
                     raise CliError(f"bidirectional decode failed at (r={r}, s={s})")
         report["bidirectional_bits_if_permutation"] = float(2.0 * np.log2(f.M))
     emit(report, args.out)

@@ -37,7 +37,6 @@ import numpy as np
 
 from .oracle import (
     FunctionTable,
-    apply_oracle,
     build_partition,
     phase_states,
 )
@@ -46,13 +45,11 @@ from .quantum import (
     StateVector,
     _Owned,
     apply_local,
-    collapse,
     entanglement_entropy,
     from_amps,
     measure_computational,
     measurement_probabilities,
     reorder,
-    tensor,
     von_neumann_entropy,
 )
 
@@ -191,15 +188,15 @@ def initial_state(f: FunctionTable, input_state: StateVector) -> StateVector:
     return StateVector(amps.shape, SUBSYSTEM_ORDER, _Owned(amps))
 
 
-def _with_ancillas(state: StateVector, n: int, r: int, s: int) -> StateVector:
-    """The (A, a, B, b) state with the measured ancillas back at dimension n, in |r> and |s>.
+def _with_ancillas(ab: np.ndarray, n: int, r: int, s: int) -> StateVector:
+    """The (A, a, B, b) state with A, B amplitudes ab (an M x N array) and the ancillas in |r>, |s>.
 
-    state holds a and b at dimension 1.  Its amplitudes are scattered into
-    np.zeros, whose untouched pages take no memory.
+    The amplitudes are scattered into np.zeros, whose untouched pages take
+    no memory.
     """
-    M, _, N, _ = state.dims
+    M, N = ab.shape
     amps = np.zeros((M, n, N, n), dtype=np.complex128)
-    amps[:, r, :, s] = state.amps.reshape(M, N)
+    amps[:, r, :, s] = ab
     return StateVector(amps.shape, SUBSYSTEM_ORDER, _Owned(amps))
 
 
@@ -400,7 +397,7 @@ def execute_script(
     final_entropy = entanglement_entropy(state, {"a"})
     ledger = make_ledger(build_partition(f).n_values, initial_entropy, final_entropy)
     transcript = make_transcript(f, int(seed), script, values["r"], values["s"], ledger)
-    return _with_ancillas(state, n, values["r"], values["s"]), transcript
+    return _with_ancillas(state.tensor_view()[:, 0, :, 0], n, values["r"], values["s"]), transcript
 
 
 def run_locc(
@@ -416,37 +413,53 @@ def run_locc(
     return state, transcript, transcript.ledger
 
 
+def run_locc_deferred(f: FunctionTable, input_state: StateVector) -> StateVector:
+    """The (A, a, B, b) state after the script with both measurements deferred.
+
+    The measure steps are skipped, so each measured ancilla keeps its
+    dimension, and a step that depends on an outcome is applied controlled
+    on that ancilla (Nielsen & Chuang, section 4.4): one monomial operator
+    on (ancilla, *targets) stacks build_step_operator(f, operation, v) for
+    every value v of the ancilla.  Slice [:, r, :, s] of the result is the
+    final A, B state of branch (r, s) times the square root of that
+    branch's probability.
+    """
+    state = initial_state(f, input_state)
+    n = state.dim_of("a")
+    measured: dict[str, str] = {}  # classical value -> the ancilla it is read from
+    for step in build_locc_script(f):
+        if step.action == "measure":
+            measured[step.value] = step.targets[0]
+        elif step.action == "apply" and step.depends_on is None:
+            state = apply_local(state, build_step_operator(f, step.operation))
+        elif step.action == "apply":
+            ops = [build_step_operator(f, step.operation, v) for v in range(n)]
+            state = apply_local(state, LocalOperator(
+                (measured[step.depends_on], *step.targets),
+                source=np.concatenate([v * op.dim + op.source for v, op in enumerate(ops)]),
+                phases=np.concatenate([op.phases for op in ops]),
+            ))
+    return state
+
+
 def run_locc_all_branches(f: FunctionTable, input_state: StateVector) -> list[BranchResult]:
     """Deterministically enumerate every (r, s) measurement branch.
 
-    Walks the same script as execute_script but forks on every outcome of
-    each measure step.  Each of the n_f^2 branches carries probability
-    1/n_f^2 regardless of the input, and each final A, B state equals the
-    direct oracle action.
+    All n_f^2 branches come from one run_locc_deferred walk: each is a
+    slice of its final state, renormalized, with the ancillas in |r>, |s>.
+    Each branch carries probability 1/n_f^2 regardless of the input, and
+    each final A, B state equals the direct oracle action.
     """
-    parties = LocalParties(f)
-    branches = [(initial_state(f, input_state), 1.0, {})]  # (state, probability, values)
-    n = branches[0][0].dim_of("a")
-    for step in build_locc_script(f):
-        if step.action == "apply":
-            branches = [
-                (parties.apply(step, state, values.get(step.depends_on)), prob, values)
-                for state, prob, values in branches
-            ]
-        elif step.action == "measure":
-            label = step.targets[0]
-            forks = []
-            for state, prob, values in branches:
-                for outcome in range(state.dim_of(label)):
-                    weight, post = collapse(state, label, outcome)
-                    if post is None:
-                        raise RuntimeError(f"branch {values}, {step.value}={outcome} is empty")
-                    forks.append((post, prob * weight, {**values, step.value: outcome}))
-            branches = forks
-    return [
-        BranchResult(values["r"], values["s"], prob, _with_ancillas(state, n, values["r"], values["s"]))
-        for state, prob, values in branches
-    ]
+    amps = run_locc_deferred(f, input_state).tensor_view()
+    n = amps.shape[1]
+    branches = []
+    for r in range(n):
+        for s in range(n):
+            ab = amps[:, r, :, s]
+            weight = float(np.vdot(ab, ab).real)
+            final_state = _with_ancillas(ab / np.sqrt(weight), n, r, s)
+            branches.append(BranchResult(r, s, weight, final_state))
+    return branches
 
 
 def ab_substate(state: StateVector) -> StateVector:
@@ -467,23 +480,3 @@ def ab_substate(state: StateVector) -> StateVector:
     return from_amps(
         (state.dims[0], state.dims[2]), ("A", "B"), sliced.reshape(-1), normalize=True
     )
-
-
-def reference_final_state(
-    f: FunctionTable, input_state: StateVector, r: int, s: int
-) -> StateVector:
-    """Final state predicted without running the protocol: oracle result with ancillas |r>, |s>."""
-    n = build_partition(f).n_values
-    oracle_out = apply_oracle(f, _check_input(input_state, f))
-    anc_a = np.zeros(n, dtype=np.complex128)
-    anc_a[r] = 1.0
-    anc_b = np.zeros(n, dtype=np.complex128)
-    anc_b[s] = 1.0
-    joined = tensor(
-        [
-            oracle_out,
-            from_amps((n,), ("a",), anc_a),
-            from_amps((n,), ("b",), anc_b),
-        ]
-    )
-    return reorder(joined, SUBSYSTEM_ORDER)

@@ -386,10 +386,11 @@ class Referee:
                 raise HandshakeMismatch(f"unknown or duplicate role {role!r}")
             if (payload["m"], payload["n"]) != (self.f.M, self.f.N):
                 raise HandshakeMismatch(
-                    f"endpoint dims ({payload['m']}, {payload['n']}) vs ({self.f.M}, {self.f.N})"
+                    f"{role}'s dims ({payload['m']}, {payload['n']}) differ from "
+                    f"the referee's ({self.f.M}, {self.f.N})"
                 )
             if payload["f_sha256"] != self.f.sha256():
-                raise HandshakeMismatch("endpoints disagree on the function table")
+                raise HandshakeMismatch(f"{role}'s function table differs from the referee's")
             by_role[role] = conn
         for conn in by_role.values():
             conn.send("HANDSHAKE", {"status": "ready"}, sender="referee")

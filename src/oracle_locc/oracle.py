@@ -18,7 +18,7 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from .quantum import StateVector
+from .quantum import StateVector, _Owned
 
 MAX_DENSE_ORACLE_DIM = 4096
 
@@ -143,7 +143,8 @@ def apply_oracle(
 ) -> StateVector:
     """Apply |x>|y> -> |x>|y + f(x) mod N> without building the full matrix.
 
-    For every control value x the target axis is cyclically rolled by f(x).
+    One gather along the target axis: the output at (x, y) reads the input
+    at (x, y - f(x) mod N).  The control and target may sit on any axes.
     """
     c_axis = state.axis(control)
     t_axis = state.axis(target)
@@ -151,13 +152,13 @@ def apply_oracle(
         raise ValueError(f"control register has dimension {state.dims[c_axis]}, expected M={f.M}")
     if state.dims[t_axis] != f.N:
         raise ValueError(f"target register has dimension {state.dims[t_axis]}, expected N={f.N}")
-    psi = np.moveaxis(state.tensor_view(), (c_axis, t_axis), (0, 1)).copy()
-    for x in range(f.M):
-        shift = f.table[x] % f.N
-        if shift:
-            psi[x] = np.roll(psi[x], shift, axis=0)
-    psi = np.moveaxis(psi, (0, 1), (c_axis, t_axis))
-    return StateVector(state.dims, state.labels, psi.reshape(-1))
+    source = (np.arange(f.N)[None, :] - np.array(f.table)[:, None]) % f.N  # [x, y]
+    if c_axis > t_axis:
+        source = source.T
+    shape = [1] * len(state.dims)
+    shape[c_axis], shape[t_axis] = f.M, f.N
+    psi = np.take_along_axis(state.tensor_view(), source.reshape(shape), axis=t_axis)
+    return StateVector(state.dims, state.labels, _Owned(psi.reshape(-1)))
 
 
 def oracle_matrix(f: FunctionTable) -> np.ndarray:
@@ -181,13 +182,6 @@ def phase_states(N: int) -> np.ndarray:
     return np.exp(2j * np.pi * n * y / N) / np.sqrt(N)
 
 
-def phase_operator(N: int) -> np.ndarray:
-    """Hermitian phase observable with eigenvalue 2*pi*n/N on phase state n."""
-    states = phase_states(N)
-    angles = 2.0 * np.pi * np.arange(N) / N
-    return (states.T * angles) @ states.conj()
-
-
 def phase_exponential(N: int, c: float) -> np.ndarray:
     """exp(-i*c*Phase) built spectrally from the phase eigenbasis.
 
@@ -198,11 +192,6 @@ def phase_exponential(N: int, c: float) -> np.ndarray:
     states = phase_states(N)
     eigenphases = np.exp(-2j * np.pi * np.arange(N) * c / N)
     return (states.T * eigenphases) @ states.conj()
-
-
-def shift_matrix(N: int, shift: int) -> np.ndarray:
-    """Permutation matrix |y> -> |y + shift mod N>."""
-    return np.roll(np.eye(N, dtype=np.complex128), shift % N, axis=0)
 
 
 def class_projectors(f: FunctionTable, partition: Partition | None = None) -> list[np.ndarray]:

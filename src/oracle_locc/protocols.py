@@ -8,7 +8,8 @@ decoding probabilities:
   * send_backward: Bob transmits one of n_f messages to Alice, starting
     from a pre-shared entangled state and a phase-grading unitary.
   * send_bidirectional: for a permutation, both directions at once,
-    log2(M) bits each way.
+    log2(M) bits each way; send_bidirectional_all runs it for every one
+    of Bob's messages in one walk.
 
 Messages are indices into the sorted list of attained values, matching
 the ordering produced by build_partition.
@@ -121,11 +122,6 @@ def _grading_phases(f: FunctionTable, s: int, partition: Partition | None = None
     return phases
 
 
-def grading_unitary(f: FunctionTable, s: int, partition: Partition | None = None) -> np.ndarray:
-    """Bob's encoding as a diagonal matrix (see _grading_phases)."""
-    return np.diag(_grading_phases(f, s, partition))
-
-
 def send_backward(f: FunctionTable, s: int) -> ProtocolResult:
     """Bob sends s through a phase imprinted on a pre-shared entangled state.
 
@@ -160,25 +156,43 @@ def send_bidirectional(f: FunctionTable, r: int, s: int) -> ProtocolResult:
     Starting from M^{-1/2} sum_x |x>_A |M - x mod M>_B, Alice encodes r by
     relabelling |x> -> |f^{-1}(x + r mod M)> and Bob by phasing his basis.
     One oracle call collapses Bob's register to |r> while Alice is left in
-    the phase eigenstate indexed by s after undoing her relabelling.
+    the phase eigenstate indexed by s after undoing her relabelling.  This
+    is the walk of send_bidirectional_all with Bob's message fixed to s.
     """
+    return _bidirectional(f, r, [s])[0]
+
+
+def send_bidirectional_all(f: FunctionTable, r: int) -> list[ProtocolResult]:
+    """send_bidirectional(f, r, s) for every s, in order, from one walk of the protocol.
+
+    Bob's message sits in a register m of his, in equal superposition over
+    every s, and his phasing is controlled on it; slice m = s of the M^3
+    amplitudes on (m, A, B) is the final state for s.
+    """
+    return _bidirectional(f, r, range(f.M))
+
+
+def _bidirectional(f: FunctionTable, r: int, messages) -> list[ProtocolResult]:
+    """The bidirectional protocol for Alice's r and each of Bob's messages, in one walk."""
     if not f.is_permutation():
         raise ValueError("bidirectional protocol requires a permutation")
     M = f.M
     r = _check_message(r, M, "r")
-    s = _check_message(s, M, "s")
+    messages = np.array([_check_message(s, M, "s") for s in messages])
+    k = len(messages)
     x = np.arange(M)
     ones = np.ones(M)
 
-    amps = np.zeros((M, M), dtype=np.complex128)
-    amps[x, (M - x) % M] = 1.0 / np.sqrt(M)
-    state = from_amps((M, M), ("A", "B"), amps.reshape(-1))
+    amps = np.zeros((k, M, M), dtype=np.complex128)
+    amps[:, x, (M - x) % M] = 1.0 / np.sqrt(M * k)
+    state = from_amps((k, M, M), ("m", "A", "B"), amps.reshape(-1))
 
     # Alice's relabelling |x> -> |f^{-1}(x + r)>: row i holds its 1 in column f(i) - r.
     alice_source = (np.array(f.table) - r) % M
-    bob_phases = np.exp(-2j * np.pi * s * x / M)
+    bob_phases = np.exp(-2j * np.pi * messages[:, None] * x / M)  # [s, x]
     state = apply_local(state, LocalOperator("A", source=alice_source, phases=ones))
-    state = apply_local(state, LocalOperator("B", source=x, phases=bob_phases))
+    state = apply_local(state, LocalOperator(("m", "B"), source=np.arange(k * M),
+                                             phases=bob_phases.reshape(-1)))
 
     state = apply_oracle(f, state)
 
@@ -187,13 +201,16 @@ def send_bidirectional(f: FunctionTable, r: int, s: int) -> ProtocolResult:
     # so the implemented sequence matches the protocol step for step.
     final = apply_local(state, LocalOperator("B", source=(M + x) % M, phases=ones))
 
-    alice_basis = phase_states(M)
-    joint = alice_basis.conj() @ final.tensor_view()  # [s', r'] amplitude
-    probs = np.abs(joint.T) ** 2  # [r', s']
-    r_hat, s_hat = np.unravel_index(int(np.argmax(probs)), probs.shape)
-    decoded = (int(r_hat), int(s_hat))
-    success = bool(decoded == (r, s) and abs(probs[r_hat, s_hat] - 1.0) <= DECODE_TOL)
-    return ProtocolResult(decoded, success, final, probs)
+    finals = final.tensor_view() * np.sqrt(k)  # [s, x, y], each slice normalized
+    joint = phase_states(M).conj() @ finals  # [s, s', r'] amplitude
+    results = []
+    for s, ab, amplitudes in zip(messages, finals, joint):
+        probs = np.abs(amplitudes.T) ** 2  # [r', s']
+        r_hat, s_hat = np.unravel_index(int(np.argmax(probs)), probs.shape)
+        decoded = (int(r_hat), int(s_hat))
+        success = bool(decoded == (r, s) and abs(probs[r_hat, s_hat] - 1.0) <= DECODE_TOL)
+        results.append(ProtocolResult(decoded, success, from_amps((M, M), ("A", "B"), ab), probs))
+    return results
 
 
 def _basis_vec(dim: int, index: int) -> np.ndarray:

@@ -63,6 +63,11 @@ def ref_partition(f: FunctionTable):
     return values, [sorted(groups[v]) for v in values]
 
 
+def shift_matrix(N: int, shift: int) -> np.ndarray:
+    """Permutation matrix |y> -> |y + shift mod N>."""
+    return np.roll(np.eye(N, dtype=np.complex128), shift % N, axis=0)
+
+
 def ref_global_apply(state_amps: np.ndarray, dims: tuple[int, ...],
                      op: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
     """Apply op to the given axes by explicit loops over basis states."""

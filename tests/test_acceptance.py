@@ -27,7 +27,6 @@ from oracle_locc.oracle import (
     oracle_matrix,
     phase_exponential,
     schmidt_decompose_oracle,
-    shift_matrix,
 )
 from oracle_locc.protocols import (
     entangle_protocol,
@@ -37,7 +36,7 @@ from oracle_locc.protocols import (
 )
 from oracle_locc.quantum import fidelity, operator_schmidt_rank, random_state, realign
 
-from conftest import cli_command, exhaustive_permutations, exhaustive_tables
+from conftest import cli_command, exhaustive_permutations, exhaustive_tables, shift_matrix
 
 from test_netsim import RefereeHarness, drive_alice_to_send_r, step1_payload
 

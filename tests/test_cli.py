@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 from oracle_locc.cli import _Check, main
+from oracle_locc.locc import OPERATOR_BUILDERS, step7_operator
+from oracle_locc.quantum import LocalOperator
 
 from conftest import ROOT, cli_command, src_env
 
@@ -92,6 +94,21 @@ class TestVerify:
         result = check.result()
         assert np.isnan(result.max_deviation)
         assert result.passed is False
+
+    def test_wrong_step7_sign_fails_the_branch_check(self, monkeypatch, capsys):
+        # The branch check must run the scripted builders.  A wrong sign is
+        # invisible while n_f <= 2, where exp(i pi) = exp(-i pi), so the bounds
+        # reach n_f = 3.
+        def wrong_sign(f, s):
+            op = step7_operator(f, s)
+            return LocalOperator("A", source=op.source, phases=op.phases.conj())
+
+        monkeypatch.setitem(OPERATOR_BUILDERS, "step7_phase_fix", wrong_sign)
+        assert cli("verify", "--max-m", "3", "--max-n", "3") == 1
+        captured = capsys.readouterr()
+        failed = [c["name"] for c in json.loads(captured.out)["checks"] if not c["passed"]]
+        assert failed == ["locc_branches_match_direct_oracle"]
+        assert captured.err.startswith("verification failed: locc_branches_match_direct_oracle")
 
     def test_missing_table_file_is_a_usage_error(self, capsys, tmp_path):
         assert cli("verify", "--f", str(tmp_path / "absent.json")) == 2
@@ -316,6 +333,7 @@ class TestScriptProcess:
             assert proc.returncode == 1, err
             assert err.count("\n") == 1 and "Traceback" not in err, err
             assert err.startswith("protocol error: HandshakeMismatch: "), err
+            assert "alice's function table differs from the referee's" in err, err
 
     def test_party_failure_is_one_line_naming_its_cause(self):
         proc = run_script("run", "--f", BEYOND_FRAME_CAP, "--seed", "1")

@@ -18,9 +18,9 @@ from oracle_locc.locc import (
     execute_script,
     initial_state,
     make_ledger,
-    reference_final_state,
     run_locc,
     run_locc_all_branches,
+    run_locc_deferred,
     step1_operator,
     step3_operator,
     step4_operator,
@@ -42,6 +42,8 @@ from oracle_locc.quantum import (
     from_amps,
     measurement_probabilities,
     random_state,
+    reorder,
+    tensor,
 )
 
 from conftest import exhaustive_tables, random_table, ref_dft, ref_partition
@@ -53,6 +55,45 @@ WALK_CASES = [
     FunctionTable(4, 3, (2, 0, 2, 1)),
     FunctionTable(3, 2, (1, 1, 0)),
 ]
+
+
+def reference_final_state(f, input_state, r, s):
+    """Final state predicted without running the protocol: oracle result with ancillas |r>, |s>."""
+    n = build_partition(f).n_values
+    oracle_out = apply_oracle(f, reorder(input_state, ("A", "B")))
+    anc_a = np.zeros(n, dtype=np.complex128)
+    anc_a[r] = 1.0
+    anc_b = np.zeros(n, dtype=np.complex128)
+    anc_b[s] = 1.0
+    joined = tensor([oracle_out, from_amps((n,), ("a",), anc_a), from_amps((n,), ("b",), anc_b)])
+    return reorder(joined, SUBSYSTEM_ORDER)
+
+
+def forked_branches(f, input_state):
+    """Every branch as (r, s, probability, state), forking the state on each measured outcome.
+
+    The reference for the deferred-measurement walk: it runs the script as
+    run_locc does, but continues every outcome of each measure step.  Each
+    state has both ancillas measured, at dimension 1.
+    """
+    parties = LocalParties(f)
+    branches = [(initial_state(f, input_state), 1.0, {})]  # (state, probability, values)
+    for step in build_locc_script(f):
+        if step.action == "apply":
+            branches = [
+                (parties.apply(step, state, values.get(step.depends_on)), prob, values)
+                for state, prob, values in branches
+            ]
+        elif step.action == "measure":
+            label = step.targets[0]
+            forks = []
+            for state, prob, values in branches:
+                for outcome in range(state.dim_of(label)):
+                    weight, post = collapse(state, label, outcome)
+                    assert post is not None, f"branch {values}, {step.value}={outcome} is empty"
+                    forks.append((post, prob * weight, {**values, step.value: outcome}))
+            branches = forks
+    return [(values["r"], values["s"], prob, state) for state, prob, values in branches]
 
 
 def class_index_map(f):
@@ -361,6 +402,30 @@ class TestAllBranches:
                 reference_final_state(f, inp, b.r, b.s).amps,
                 atol=1e-10,
             )
+
+    def test_deferred_branches_equal_the_forked_ones(self):
+        rng = np.random.default_rng(31)
+        for f in exhaustive_tables(3, 3):
+            inp = random_state((f.M, f.N), ("A", "B"), rng)
+            n = build_partition(f).n_values
+            forked = forked_branches(f, inp)
+            branches = run_locc_all_branches(f, inp)
+            assert [(b.r, b.s) for b in branches] == [(r, s) for r, s, _, _ in forked]
+            for b, (r, s, prob, state) in zip(branches, forked):
+                assert abs(b.probability - prob) <= 1e-12
+                expected = np.zeros((f.M, n, f.N, n), dtype=np.complex128)
+                expected[:, r, :, s] = state.tensor_view()[:, 0, :, 0]
+                assert b.final_state.dims == expected.shape
+                assert_allclose(b.final_state.tensor_view(), expected, rtol=0, atol=1e-12)
+
+    def test_deferred_walk_keeps_every_branch_scaled_by_its_amplitude(self):
+        f = FunctionTable(4, 3, (2, 0, 2, 1))  # n_f = 3
+        inp = random_state((4, 3), ("A", "B"), np.random.default_rng(19))
+        final = run_locc_deferred(f, inp)
+        assert final.labels == SUBSYSTEM_ORDER and final.dims == (4, 3, 3, 3)
+        for r, s, prob, state in forked_branches(f, inp):
+            assert_allclose(final.tensor_view()[:, r, :, s],
+                            np.sqrt(prob) * state.tensor_view()[:, 0, :, 0], rtol=0, atol=1e-12)
 
     def test_outcome_distribution_ignores_the_input(self):
         f = FunctionTable(3, 2, (0, 1, 1))

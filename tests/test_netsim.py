@@ -572,6 +572,18 @@ class TestRefereeEnforcement:
             net.alice.recv()
         assert isinstance(net.referee_error(), HandshakeMismatch)
 
+    @pytest.mark.parametrize("wrong, right", [("alice", "bob"), ("bob", "alice")])
+    def test_handshake_names_the_party_whose_table_differs(self, wrong, right):
+        net = RefereeHarness(identity_table(2))
+        net.hello(net.alice, **({"f_sha256": "0" * 64} if wrong == "alice" else {}))
+        net.hello(net.bob, **({"f_sha256": "0" * 64} if wrong == "bob" else {}))
+        cause = f"{wrong}'s function table differs from the referee's"
+        for conn in (net.alice, net.bob):  # both parties get the referee's cause
+            with pytest.raises(HandshakeMismatch, match=cause):
+                conn.recv()
+        error = str(net.referee_error())
+        assert wrong in error and right not in error
+
     def test_handshake_wrong_role(self):
         net = RefereeHarness(identity_table(2))
         net.hello(net.alice, role="bob")

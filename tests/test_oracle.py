@@ -20,12 +20,10 @@ from oracle_locc.oracle import (
     minimal_oracle,
     oracle_matrix,
     phase_exponential,
-    phase_operator,
     phase_states,
     schmidt_decompose_oracle,
-    shift_matrix,
 )
-from oracle_locc.quantum import basis_state, operator_schmidt_rank, random_state
+from oracle_locc.quantum import basis_state, operator_schmidt_rank, random_state, reorder
 
 from conftest import (
     exhaustive_permutations,
@@ -34,6 +32,7 @@ from conftest import (
     ref_global_apply,
     ref_oracle_matrix,
     ref_partition,
+    shift_matrix,
 )
 
 # Strategy: a function table with M in 1..4, N in 1..4.
@@ -44,6 +43,13 @@ tables_strategy = st.integers(1, 4).flatmap(
         )
     )
 )
+
+
+def phase_operator(N: int) -> np.ndarray:
+    """Hermitian phase observable with eigenvalue 2*pi*n/N on phase state n."""
+    states = phase_states(N)
+    angles = 2.0 * np.pi * np.arange(N) / N
+    return (states.T * angles) @ states.conj()
 
 
 class TestFunctionTable:
@@ -197,6 +203,19 @@ class TestApplyOracle:
             state.amps, (3, 2), ref_oracle_matrix(f), (1, 0)
         )
         assert_allclose(result.amps, expected, atol=1e-12)
+
+    def test_matches_oracle_matrix_with_registers_on_any_axes(self, rng):
+        for _ in range(20):
+            f = random_table(rng, max_m=5, max_n=5)
+            state = random_state((f.M, f.N), ("A", "B"), rng)
+            assert_allclose(apply_oracle(f, state).amps, oracle_matrix(f) @ state.amps, atol=1e-12)
+            # A third register between them, with the target axis before the control axis.
+            state = random_state((f.N, 3, f.M), ("B", "m", "A"), rng)
+            result = apply_oracle(f, state)
+            assert result.labels == ("B", "m", "A")
+            slices = reorder(state, ("m", "A", "B")).tensor_view().reshape(3, -1)
+            expected = (slices @ oracle_matrix(f).T).reshape(3, f.M, f.N)
+            assert_allclose(reorder(result, ("m", "A", "B")).tensor_view(), expected, atol=1e-12)
 
     def test_dimension_mismatch_errors(self):
         f = FunctionTable(2, 3, (0, 0))

@@ -14,17 +14,24 @@ from oracle_locc.oracle import (
 )
 from oracle_locc.protocols import (
     DECODE_TOL,
+    _grading_phases,
     backward_decode_states,
     entangle_protocol,
-    grading_unitary,
     representative_superposition,
     send_backward,
     send_bidirectional,
+    send_bidirectional_all,
     send_forward,
 )
 from oracle_locc.quantum import entanglement_entropy, operator_schmidt_rank
 
-from conftest import exhaustive_permutations, exhaustive_tables, random_table
+from conftest import (
+    exhaustive_permutations,
+    exhaustive_tables,
+    random_table,
+    ref_dft,
+    ref_oracle_matrix,
+)
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -144,7 +151,7 @@ class TestBackward:
 
     def test_grading_unitary_is_diagonal_unitary(self):
         f = FunctionTable(3, 4, (1, 3, 1))
-        G = grading_unitary(f, 1)
+        G = np.diag(_grading_phases(f, 1))
         assert_allclose(G, np.diag(np.diag(G)), atol=0)
         assert_allclose(G @ G.conj().T, np.eye(4), atol=1e-12)
 
@@ -164,7 +171,44 @@ class TestBackward:
         assert abs(result.outcome_probabilities[result.decoded] - 1.0) <= 1e-10
 
 
+def reference_bidirectional_probabilities(f, r, s):
+    """Decode probabilities [r', s'] of one (r, s) run, from dense matrices, with no register m."""
+    M = f.M
+    shared = np.zeros((M, M), dtype=np.complex128)
+    for x in range(M):
+        shared[x, (M - x) % M] = 1.0 / np.sqrt(M)
+    relabel = np.zeros((M, M))
+    for i in range(M):
+        relabel[i, (f.table[i] - r) % M] = 1.0
+    phases = np.diag(np.exp(-2j * np.pi * s * np.arange(M) / M))
+    encoded = np.kron(relabel, phases) @ shared.reshape(-1)
+    final = np.kron(relabel.T, np.eye(M)) @ ref_oracle_matrix(f) @ encoded
+    joint = ref_dft(M).conj() @ final.reshape(M, M)  # [s', r']
+    return np.abs(joint.T) ** 2
+
+
 class TestBidirectional:
+    def test_walk_over_every_s_matches_the_per_pair_protocol(self):
+        for f in exhaustive_permutations(4):
+            for r in range(f.M):
+                results = send_bidirectional_all(f, r)
+                assert len(results) == f.M
+                for s, result in enumerate(results):
+                    expected = reference_bidirectional_probabilities(f, r, s)
+                    single = send_bidirectional(f, r, s)
+                    for probs in (result.outcome_probabilities, single.outcome_probabilities):
+                        assert_allclose(probs, expected, rtol=0, atol=1e-12)
+                    assert_allclose(result.final_state.amps, single.final_state.amps,
+                                    rtol=0, atol=1e-12)
+                    assert result.decoded == single.decoded == (r, s)
+                    assert result.success and single.success
+
+    def test_walk_over_every_s_rejects_what_a_single_pair_rejects(self):
+        with pytest.raises(ValueError, match="permutation"):
+            send_bidirectional_all(FunctionTable(2, 2, (0, 0)), 0)
+        with pytest.raises(ValueError, match="out of range"):
+            send_bidirectional_all(identity_table(2), 2)
+
     def test_single_point_domain(self):
         result = send_bidirectional(identity_table(1), 0, 0)
         assert result.success and result.decoded == (0, 0)
