@@ -14,6 +14,13 @@ strictly increasing seq.  A connection's first message must be a
 HANDSHAKE carrying (role, M, N, function-table hash) so both ends agree
 on the protocol instance before any quantum step.
 
+An OP_REQUEST carries its operator in one of two shapes.  A monomial
+operator (a permutation times phases: steps 1, 3, 4 and 7) is sent as
+{operation, targets, source, phases}, row i of the matrix holding
+phases[i] = [re, im] in column source[i], so the frame grows with d and
+not with d * d.  Any other operator (the step-5 DFT) is sent as
+{operation, targets, matrix}, the d x d matrix as nested [re, im] pairs.
+
 Two transports carry the same bytes: an in-process queue pair and a TCP
 socket.  Runs are deterministic given (f, input, seed), so transcripts
 are byte-identical across transports.
@@ -59,7 +66,7 @@ KINDS = (
 # Payload keys required per message kind (exact set).
 _PAYLOAD_KEYS = {
     "CLASSICAL_VALUE": {"value", "bits"},
-    "OP_REQUEST": {"operation", "targets", "matrix"},
+    "OP_REQUEST": None,  # two shapes: a dense matrix or a monomial's source and phases
     "MEASURE_REQUEST": {"subsystem"},
     "MEASURE_RESULT": {"subsystem", "outcome"},
     "HANDSHAKE": None,  # two shapes: party hello and referee ready
@@ -164,6 +171,10 @@ def _check_payload(kind: str, payload: dict) -> None:
         outcome = payload.get("outcome")
         if kind == "MEASURE_RESULT" and not (_is_int(outcome) and outcome >= 0):
             raise WireFormatError("MEASURE_RESULT outcome must be a non-negative integer")
+    elif kind == "OP_REQUEST":
+        shapes = ({"operation", "targets", "matrix"}, {"operation", "targets", "source", "phases"})
+        if set(payload) not in shapes:
+            raise WireFormatError(f"OP_REQUEST payload keys must be exactly one of {shapes}")
     elif kind == "HANDSHAKE":
         if set(payload) not in ({"role", "m", "n", "f_sha256"}, {"status"}):
             raise WireFormatError("HANDSHAKE payload must be a hello or a ready message")
@@ -172,6 +183,11 @@ def _check_payload(kind: str, payload: dict) -> None:
 def _is_int(x) -> bool:
     """True for a JSON integer; JSON true and false decode to bool and are not integers."""
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_number(x) -> bool:
+    """True for a JSON number; JSON true and false are not numbers either."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
 def encode_matrix(matrix: np.ndarray) -> list:
@@ -191,9 +207,12 @@ def decode_matrix(data) -> np.ndarray:
             if not isinstance(cell, list) or len(cell) != 2:
                 raise WireFormatError("matrix entries must be [real, imag] pairs")
             re, im = cell
-            if not isinstance(re, (int, float)) or not isinstance(im, (int, float)):
+            if not (_is_number(re) and _is_number(im)):
                 raise WireFormatError("matrix entries must be numeric")
-            entries.append(complex(re, im))
+            try:
+                entries.append(complex(re, im))
+            except OverflowError:
+                raise WireFormatError("matrix entries must fit in a double") from None
         rows.append(entries)
     return np.array(rows, dtype=np.complex128)
 
@@ -340,11 +359,11 @@ class Referee:
     """Holds the global state and plays both parties of execute_script.
 
     Each apply step runs the operator the acting party requested, once the
-    request checks out against the script, including its matrix against
-    the scripted operator for the values measured so far; each measured
-    outcome is released to the party only after its request checks out;
-    each classical value is relayed from sender to receiver once it equals
-    the measured one and has the scripted width.
+    request checks out against the script, including its operator, in
+    either wire shape, against the scripted one for the values measured so
+    far; each measured outcome is released to the party only after its
+    request checks out; each classical value is relayed from sender to
+    receiver once it equals the measured one and has the scripted width.
     """
 
     def __init__(self, f: FunctionTable, input_state: StateVector, seed: int):
@@ -446,10 +465,13 @@ class Referee:
                 f"script expects {step.operation} on {step.targets}, "
                 f"got {msg.payload['operation']} on {requested}"
             )
-        # The submitted matrix must be the scripted operator for the values
+        # The submitted operator must be the scripted one for the values
         # measured so far; that operator, already validated, is the one applied.
-        matrix = decode_matrix(msg.payload["matrix"])
         expected = build_step_operator(self.f, step.operation, value)
+        if "source" in msg.payload:
+            self._check_monomial(msg.payload, step.operation, expected)
+            return expected
+        matrix = decode_matrix(msg.payload["matrix"])
         if matrix.shape != expected.matrix.shape:
             raise ProtocolOrderError(
                 f"rejected operator: {step.operation} has shape {matrix.shape}, "
@@ -462,6 +484,39 @@ class Referee:
                 f"(max deviation {dev:.3e})"
             )
         return expected
+
+    @staticmethod
+    def _check_monomial(payload: dict, operation: str, expected: LocalOperator) -> None:
+        """Check a {source, phases} request against the scripted operator in O(d)."""
+        if expected.source is None:
+            raise ProtocolOrderError(
+                f"rejected operator: {operation} is not a monomial; send its matrix"
+            )
+        source, phases, d = payload["source"], payload["phases"], expected.dim
+        # Lengths first, so a hostile peer cannot make the referee build an
+        # array larger than the scripted operator.
+        if not (isinstance(source, list) and isinstance(phases, list)
+                and len(source) == len(phases) == d):
+            raise WireFormatError(f"OP_REQUEST source and phases must be lists of length {d}")
+        if not all(_is_int(i) for i in source):
+            raise WireFormatError("OP_REQUEST source entries must be integers")
+        if not all(isinstance(p, list) and len(p) == 2 and _is_number(p[0]) and _is_number(p[1])
+                   for p in phases):
+            raise WireFormatError("OP_REQUEST phases must be [re, im] pairs of numbers")
+        if source != expected.source.tolist():
+            raise ProtocolOrderError(
+                f"rejected operator: {operation} permutes its basis unlike the scripted one"
+            )
+        try:
+            pairs = np.array(phases, dtype=np.float64)
+        except OverflowError:
+            raise WireFormatError("OP_REQUEST phases must fit in a double") from None
+        dev = np.max(np.abs(pairs[:, 0] + 1j * pairs[:, 1] - expected.phases))
+        if not dev <= UNITARY_TOL:  # written so that NaN fails too
+            raise ProtocolOrderError(
+                f"rejected operator: {operation} differs from the scripted one "
+                f"(max phase deviation {dev:.3e})"
+            )
 
     @staticmethod
     def _check_ownership(party: str, targets: tuple[str, ...]) -> None:
@@ -512,14 +567,13 @@ class PartyEndpoint:
             return
         if step.action == "apply":
             op = build_step_operator(self.f, step.operation, self.known.get(step.depends_on))
-            self.conn.send(
-                "OP_REQUEST",
-                {
-                    "operation": step.operation,
-                    "targets": list(step.targets),
-                    "matrix": encode_matrix(op.matrix),
-                },
-            )
+            payload = {"operation": step.operation, "targets": list(step.targets)}
+            if op.source is not None:
+                payload["source"] = op.source.tolist()
+                payload["phases"] = np.column_stack((op.phases.real, op.phases.imag)).tolist()
+            else:
+                payload["matrix"] = encode_matrix(op.matrix)
+            self.conn.send("OP_REQUEST", payload)
         elif step.action == "measure":
             self.conn.send("MEASURE_REQUEST", {"subsystem": step.targets[0]})
             result = self.conn.recv(expect=("MEASURE_RESULT",))

@@ -20,8 +20,13 @@ CONSTANT22 = '{"M": 2, "N": 2, "table": [0, 0]}'
 THREE_CYCLE = '{"M": 3, "N": 3, "table": [1, 2, 0]}'
 NON_PERM = '{"M": 3, "N": 3, "table": [0, 0, 1]}'
 BEYOND_DENSE_CAP = json.dumps({"M": 80, "N": 80, "table": list(range(80))})  # M*N > 4096
-# Its step-1 OP_REQUEST is about 4 MB, over the 1 MiB frame cap.
-BEYOND_FRAME_CAP = json.dumps({"M": 24, "N": 24, "table": [(x + 1) % 24 for x in range(24)]})
+# The CLI with the frame cap lowered to 4 KiB: the handshake still fits, but
+# the step-1 OP_REQUEST of a permutation at M = N = 24 (about 9 KB) does not.
+LOW_FRAME_CAP_CLI = (
+    "import oracle_locc.netsim as netsim; netsim.MAX_FRAME_BYTES = 4096; "
+    "from oracle_locc.cli import main; raise SystemExit(main())"
+)
+PERMUTATION24 = json.dumps({"M": 24, "N": 24, "table": [(x + 1) % 24 for x in range(24)]})
 
 CHECK_NAMES = {
     "oracle_matrix_is_permutation_unitary",
@@ -336,7 +341,10 @@ class TestScriptProcess:
             assert "alice's function table differs from the referee's" in err, err
 
     def test_party_failure_is_one_line_naming_its_cause(self):
-        proc = run_script("run", "--f", BEYOND_FRAME_CAP, "--seed", "1")
+        proc = subprocess.run(
+            [sys.executable, "-c", LOW_FRAME_CAP_CLI, "run", "--f", PERMUTATION24, "--seed", "1"],
+            capture_output=True, text=True, env=src_env(), timeout=120,
+        )
         assert proc.returncode == 3
         assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
         assert proc.stderr.startswith("transport error: alice failed: WireFormatError")

@@ -18,6 +18,7 @@ from oracle_locc.locc import (
     step4_operator,
     wire_bits,
 )
+from oracle_locc import netsim
 from oracle_locc.netsim import (
     Connection,
     HandshakeMismatch,
@@ -56,6 +57,9 @@ class TestWireCodec:
             WireMessage(2, "alice", "OP_REQUEST",
                         {"operation": "step5_dft", "targets": ["b"],
                          "matrix": encode_matrix(np.eye(2))}),
+            WireMessage(2, "alice", "OP_REQUEST",
+                        {"operation": "step3_bob_shift", "targets": ["b"],
+                         "source": [1, 0], "phases": [[1.0, 0.0], [0.0, -1.0]]}),
             WireMessage(3, "bob", "MEASURE_REQUEST", {"subsystem": "b"}),
             WireMessage(4, "referee", "MEASURE_RESULT", {"subsystem": "b", "outcome": 1}),
             WireMessage(5, "alice", "HANDSHAKE",
@@ -184,6 +188,9 @@ class TestWireCodec:
             ("MEASURE_REQUEST", "{}"),
             ("MEASURE_RESULT", '{"subsystem": "a"}'),
             ("OP_REQUEST", '{"operation": "x", "targets": []}'),
+            ("OP_REQUEST", '{"operation": "x", "targets": [], "source": [0]}'),
+            ("OP_REQUEST",
+             '{"operation": "x", "targets": [], "matrix": [], "source": [0], "phases": []}'),
             ("ERROR", '{"code": "TRANSPORT"}'),
             ("HANDSHAKE", '{"role": "alice"}'),
             ("HANDSHAKE", '{"status": "ready", "extra": 1}'),
@@ -207,6 +214,9 @@ class TestMatrixCodec:
             [[[0.0, 0.0]], [[0.0, 0.0]]],
             [[[0.0, 0.0], [0.0]], [[0.0, 0.0], [0.0, 0.0]]],
             [[[0.0, "x"], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
+            # JSON true and false are not numbers, so this is not the identity.
+            [[[True, False], [False, False]], [[False, False], [True, False]]],
+            [[[10**400, 0.0]]],
             "nope",
         ]
         for data in bad:
@@ -364,6 +374,16 @@ def step1_payload(f):
         "operation": "step1_controlled_shift",
         "targets": ["A", "a"],
         "matrix": encode_matrix(step1_operator(f).matrix),
+    }
+
+
+def monomial_payload(operation, targets, op):
+    """An OP_REQUEST in the {source, phases} shape for a monomial operator."""
+    return {
+        "operation": operation,
+        "targets": list(targets),
+        "source": op.source.tolist(),
+        "phases": [[z.real, z.imag] for z in op.phases.tolist()],
     }
 
 
@@ -624,9 +644,11 @@ class TestInProcessTransport:
 
 
 class TestPartyFailure:
-    def test_party_failure_is_reported_instead_of_the_closed_channel(self):
-        # At M = N = 24 the step-1 OP_REQUEST is about 4 MB, over the 1 MiB cap,
-        # so Alice fails while encoding it and the referee sees her channel close.
+    def test_party_failure_is_reported_instead_of_the_closed_channel(self, monkeypatch):
+        # With the cap lowered to 4 KiB the handshake still fits, but the step-1
+        # OP_REQUEST at M = N = 24 (about 9 KB) does not, so Alice fails while
+        # encoding it and the referee sees her channel close.
+        monkeypatch.setattr(netsim, "MAX_FRAME_BYTES", 4096)
         f = FunctionTable(24, 24, tuple((x + 1) % 24 for x in range(24)))
         inp = random_state((24, 24), ("A", "B"), np.random.default_rng(3))
         with pytest.raises(TransportError, match="alice failed: WireFormatError") as caught:
@@ -635,14 +657,115 @@ class TestPartyFailure:
         assert "1 MiB cap" in str(caught.value)
 
 
+THREE_CYCLE = FunctionTable(3, 3, (1, 2, 0))
+
+
+def step1_compact(**edits):
+    """Step 1 of THREE_CYCLE in the {source, phases} shape, edited in place by edits."""
+    payload = monomial_payload(
+        "step1_controlled_shift", ("A", "a"), step1_operator(THREE_CYCLE)
+    )
+    for key, edit in edits.items():
+        edit(payload[key])
+    return payload
+
+
+def _set(index, value):
+    def edit(entries):
+        entries[index] = value
+    return edit
+
+
+class TestMonomialRequests:
+    """Hostile {source, phases} OP_REQUESTs: each fails the run on both connections."""
+
+    @staticmethod
+    def assert_refused(net, conn, payload, error, match=None):
+        conn.send("OP_REQUEST", payload)
+        for party in (net.alice, net.bob):
+            with pytest.raises(error, match=match):
+                party.recv()
+        assert isinstance(net.referee_error(), error)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            step1_compact(source=lambda s: s.pop()),
+            step1_compact(source=lambda s: s.pop(), phases=lambda p: p.pop()),
+            step1_compact(phases=lambda p: p.extend(p)),
+            step1_compact(source=_set(0, True)),
+            step1_compact(source=_set(0, 1.0)),
+            step1_compact(source=_set(0, "1")),
+            step1_compact(phases=_set(0, [1.0, 0.0, 0.0])),
+            step1_compact(phases=_set(0, [1.0])),
+            step1_compact(phases=_set(0, [True, False])),
+            step1_compact(phases=_set(0, ["1", "0"])),
+            step1_compact(phases=_set(0, [10**400, 0])),
+            {**step1_compact(), "source": "nope"},
+        ],
+        ids=[
+            "source one short", "both one short", "phases twice as long", "true in source",
+            "float in source", "string in source", "phase of three numbers",
+            "phase of one number", "boolean phase", "string phase", "phase beyond a double",
+            "source not a list",
+        ],
+    )
+    def test_malformed_source_or_phases_is_a_wire_format_error(self, payload):
+        net = RefereeHarness(THREE_CYCLE)
+        net.handshake()
+        self.assert_refused(net, net.alice, payload, WireFormatError)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            step1_compact(source=lambda s: s.append(s.pop(0))),
+            step1_compact(phases=_set(0, [np.cos(1e-6), np.sin(1e-6)])),
+            step1_compact(phases=_set(0, [float("nan"), 0.0])),
+        ],
+        ids=["other permutation", "phase turned by 1e-6", "NaN phase"],
+    )
+    def test_operator_other_than_the_scripted_one_is_rejected(self, payload):
+        net = RefereeHarness(THREE_CYCLE)
+        net.handshake()
+        self.assert_refused(net, net.alice, payload, ProtocolOrderError, "rejected operator")
+
+    def test_matrix_and_source_in_one_payload_fail_to_decode(self):
+        payload = {**step1_payload(THREE_CYCLE), **step1_compact()}
+        frame = encode_wire(WireMessage(2, "alice", "OP_REQUEST", payload))
+        with pytest.raises(WireFormatError, match="OP_REQUEST payload keys"):
+            decode_wire(frame)
+        net = RefereeHarness(THREE_CYCLE)
+        net.handshake()
+        self.assert_refused(net, net.alice, payload, WireFormatError, "OP_REQUEST payload keys")
+
+    def test_compact_payload_for_the_dense_dft_is_refused(self):
+        net = RefereeHarness(THREE_CYCLE)
+        net.handshake()
+        net.alice.send("OP_REQUEST", step1_compact())
+        net.alice.send("MEASURE_REQUEST", {"subsystem": "a"})
+        r = net.alice.recv(expect=("MEASURE_RESULT",)).payload["outcome"]
+        net.alice.send("CLASSICAL_VALUE", {"value": r, "bits": 2})
+        assert net.bob.recv(expect=("CLASSICAL_VALUE",)).payload["value"] == r
+        # Bob's monomial steps 3 and 4 in the compact shape are accepted.
+        net.bob.send("OP_REQUEST", monomial_payload(
+            "step3_bob_shift", ("b",), step3_operator(THREE_CYCLE, r)))
+        net.bob.send("OP_REQUEST", monomial_payload(
+            "step4_local_oracle", ("B", "b"), step4_operator(THREE_CYCLE)))
+        identity = {"source": [0, 1, 2], "phases": [[1.0, 0.0]] * 3}
+        payload = {"operation": "step5_dft", "targets": ["b"], **identity}
+        self.assert_refused(net, net.bob, payload, ProtocolOrderError, "rejected operator")
+
+
 class SniffingChannel:
-    """Wraps a channel and decodes everything received through it."""
+    """Wraps a channel; decodes everything received and keeps every frame sent."""
 
     def __init__(self, inner):
         self.inner = inner
         self.seen = []
+        self.sent = []
 
     def send(self, frame):
+        self.sent.append(frame)
         self.inner.send(frame)
 
     def recv(self):
@@ -655,27 +778,37 @@ class SniffingChannel:
         self.inner.close()
 
 
+def run_sniffed(f, inp, seed):
+    """In-process run with each party's channel sniffed; returns (transcript, alice, bob)."""
+    from oracle_locc.netsim import PartyEndpoint
+
+    referee_a, alice_side = QueueChannel.pair(5.0)
+    referee_b, bob_side = QueueChannel.pair(5.0)
+    sniff_alice = SniffingChannel(alice_side)
+    sniff_bob = SniffingChannel(bob_side)
+    connections = [Connection(referee_a, "referee"), Connection(referee_b, "referee")]
+    endpoints = [
+        PartyEndpoint("alice", f, Connection(sniff_alice, "alice")),
+        PartyEndpoint("bob", f, Connection(sniff_bob, "bob")),
+    ]
+    threads = [threading.Thread(target=e.run, daemon=True) for e in endpoints]
+    for t in threads:
+        t.start()
+    _, transcript = Referee(f, inp, seed).execute(connections)
+    for t in threads:
+        t.join(timeout=5.0)
+    return transcript, sniff_alice, sniff_bob
+
+
+def cyclic_permutation(m):
+    return FunctionTable(m, m, tuple((x + 1) % m for x in range(m)))
+
+
 class TestWireAccounting:
     def test_classical_traffic_matches_the_ledger(self):
-        from oracle_locc.netsim import PartyEndpoint
-
         f = FunctionTable(3, 3, (1, 2, 0))  # n_f = 3, so 2 wire bits each way
         inp = random_state((3, 3), ("A", "B"), np.random.default_rng(4))
-        referee_a, alice_side = QueueChannel.pair(2.0)
-        referee_b, bob_side = QueueChannel.pair(2.0)
-        sniff_alice = SniffingChannel(alice_side)
-        sniff_bob = SniffingChannel(bob_side)
-        connections = [Connection(referee_a, "referee"), Connection(referee_b, "referee")]
-        endpoints = [
-            PartyEndpoint("alice", f, Connection(sniff_alice, "alice")),
-            PartyEndpoint("bob", f, Connection(sniff_bob, "bob")),
-        ]
-        threads = [threading.Thread(target=e.run, daemon=True) for e in endpoints]
-        for t in threads:
-            t.start()
-        _, transcript = Referee(f, inp, 3).execute(connections)
-        for t in threads:
-            t.join(timeout=5.0)
+        transcript, sniff_alice, sniff_bob = run_sniffed(f, inp, 3)
 
         alice_classical = [m for m in sniff_alice.seen if m.kind == "CLASSICAL_VALUE"]
         bob_classical = [m for m in sniff_bob.seen if m.kind == "CLASSICAL_VALUE"]
@@ -686,6 +819,29 @@ class TestWireAccounting:
         assert alice_classical[0].payload == {"value": transcript.s, "bits": 2}
         assert transcript.ledger.bits_forward_wire == 2
         assert transcript.ledger.bits_backward_wire == 2
+
+    def test_monomial_steps_travel_as_source_and_phases(self):
+        # At M = N = n_f = 24 steps 1 and 4 act on d = 576; as dense matrices
+        # their frames were about 4 MB, over the 1 MiB cap.
+        f = cyclic_permutation(24)
+        inp = random_state((24, 24), ("A", "B"), np.random.default_rng(6))
+        _, sniff_alice, sniff_bob = run_sniffed(f, inp, 2)
+        requests = {}
+        for frame in sniff_alice.sent + sniff_bob.sent:
+            msg = decode_wire(frame)
+            if msg.kind == "OP_REQUEST":
+                requests[msg.payload["operation"]] = (len(frame), set(msg.payload))
+        compact = {"operation", "targets", "source", "phases"}
+        dense = {"operation", "targets", "matrix"}
+        assert {op: keys for op, (_, keys) in requests.items()} == {
+            "step1_controlled_shift": compact,
+            "step3_bob_shift": compact,
+            "step4_local_oracle": compact,
+            "step5_dft": dense,
+            "step7_phase_fix": compact,
+        }
+        for operation in ("step1_controlled_shift", "step4_local_oracle"):
+            assert requests[operation][0] < 16_000
 
 
 class TestSocketTransport:
@@ -735,6 +891,20 @@ class TestSocketTransport:
         assert transcript.to_json() == direct_transcript.to_json() == thread_transcript.to_json()
         expected = {"r": transcript.r, "s": transcript.s}
         assert learned == {"alice": expected, "bob": expected}
+
+    @pytest.mark.parametrize("m", [24, 64])
+    def test_large_permutations_reproduce_the_direct_runner(self, m):
+        f = cyclic_permutation(m)
+        inp = random_state((m, m), ("A", "B"), np.random.default_rng(m))
+        direct_state, direct_transcript, _ = run_locc(f, inp, 1)
+        thread_state, thread_transcript = run_in_process(f, inp, 1)
+        box, _, errors = self.run_socket(f, inp, 1)
+        assert not errors and "error" not in box
+        socket_state, socket_transcript = box["result"]
+        assert thread_transcript.to_json() == direct_transcript.to_json()
+        assert socket_transcript.to_json() == direct_transcript.to_json()
+        assert np.array_equal(thread_state.amps, direct_state.amps)
+        assert np.array_equal(socket_state.amps, direct_state.amps)
 
     def test_duplicate_roles_are_refused(self):
         f = identity_table(2)
