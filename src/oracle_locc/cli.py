@@ -20,7 +20,6 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -89,7 +88,10 @@ def load_function_table(source: str) -> FunctionTable:
         path = Path(source)
         if not path.is_file():
             raise CliError(f"function table file not found: {source}")
-        text = path.read_text(encoding="utf-8")
+        try:
+            text = path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise CliError(f"cannot read function table file {source}: {exc}") from exc
     try:
         return FunctionTable.from_json(text)
     except (json.JSONDecodeError, ValueError) as exc:
@@ -106,22 +108,6 @@ def emit(document: dict | str, out: str | None) -> None:
 
 # --- verify ---------------------------------------------------------------
 
-@dataclass
-class CheckResult:
-    name: str
-    cases: int
-    max_deviation: float
-    passed: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "cases": self.cases,
-            "max_deviation": self.max_deviation,
-            "passed": self.passed,
-        }
-
-
 class _Check:
     """Accumulates worst-case deviations for one named invariant."""
 
@@ -136,9 +122,17 @@ class _Check:
         # np.maximum keeps a NaN (max() would drop it), so the check then fails.
         self.max_deviation = float(np.maximum(self.max_deviation, deviation))
 
-    def result(self) -> CheckResult:
-        return CheckResult(self.name, self.cases, self.max_deviation,
-                           self.max_deviation <= self.tolerance)
+    @property
+    def passed(self) -> bool:
+        return self.max_deviation <= self.tolerance
+
+    def to_json_dict(self) -> dict:
+        return {
+            "name": self.name,
+            "cases": self.cases,
+            "max_deviation": self.max_deviation,
+            "passed": self.passed,
+        }
 
 
 def _sweep_tables(max_m: int, max_n: int, trials: int, rng: np.random.Generator):
@@ -152,7 +146,7 @@ def _sweep_tables(max_m: int, max_n: int, trials: int, rng: np.random.Generator)
     return tables
 
 
-def _check_oracle_structure(tables) -> CheckResult:
+def _check_oracle_structure(tables) -> _Check:
     check = _Check("oracle_matrix_is_permutation_unitary")
     for f in tables:
         U = oracle_matrix(f)
@@ -161,10 +155,10 @@ def _check_oracle_structure(tables) -> CheckResult:
         entry_dev = np.max(np.abs(U * (1 - U)))  # entries are 0 or 1
         sum_dev = max(np.max(np.abs(U.sum(axis=0) - 1)), np.max(np.abs(U.sum(axis=1) - 1)))
         check.record(max(unitary_dev, entry_dev, sum_dev))
-    return check.result()
+    return check
 
 
-def _check_schmidt(tables) -> CheckResult:
+def _check_schmidt(tables) -> _Check:
     check = _Check("schmidt_rank_and_reconstruction")
     for f in tables:
         U = oracle_matrix(f)
@@ -174,18 +168,18 @@ def _check_schmidt(tables) -> CheckResult:
         expected = np.sqrt([f.N * k for k in form.partition.sizes])
         coeff_dev = np.max(np.abs(form.coefficients - expected))
         check.record(max(rank_dev, rebuild_dev, coeff_dev))
-    return check.result()
+    return check
 
 
-def _check_entangle(tables) -> CheckResult:
+def _check_entangle(tables) -> _Check:
     check = _Check("entangle_ebits_equal_log2_n_f")
     for f in tables:
         _, ebits = entangle_protocol(f)
         check.record(abs(ebits - np.log2(build_partition(f).n_values)))
-    return check.result()
+    return check
 
 
-def _check_forward(tables) -> CheckResult:
+def _check_forward(tables) -> _Check:
     check = _Check("forward_protocol_decodes_exactly")
     for f in tables:
         for r in range(build_partition(f).n_values):
@@ -194,10 +188,10 @@ def _check_forward(tables) -> CheckResult:
             if result.decoded != r:
                 dev = max(dev, 1.0)
             check.record(dev)
-    return check.result()
+    return check
 
 
-def _check_backward(tables) -> CheckResult:
+def _check_backward(tables) -> _Check:
     check = _Check("backward_protocol_decodes_exactly")
     for f in tables:
         decode = backward_decode_states(f)
@@ -209,10 +203,10 @@ def _check_backward(tables) -> CheckResult:
             if result.decoded != s:
                 dev = max(dev, 1.0)
             check.record(dev)
-    return check.result()
+    return check
 
 
-def _check_bidirectional(max_degree: int) -> CheckResult:
+def _check_bidirectional(max_degree: int) -> _Check:
     check = _Check("bidirectional_protocol_decodes_exactly")
     for f in all_permutations(max_degree):
         for r in range(f.M):
@@ -221,10 +215,10 @@ def _check_bidirectional(max_degree: int) -> CheckResult:
                 if result.decoded != (r, s):
                     dev = max(dev, 1.0)
                 check.record(dev)
-    return check.result()
+    return check
 
 
-def _check_locc(tables, inputs_per_table: int, rng: np.random.Generator) -> CheckResult:
+def _check_locc(tables, inputs_per_table: int, rng: np.random.Generator) -> _Check:
     """Every (r, s) branch, as slice [:, r, :, s] of one run_locc_deferred walk per input.
 
     The branch probability is the slice's weight, and its fidelity with the
@@ -242,10 +236,10 @@ def _check_locc(tables, inputs_per_table: int, rng: np.random.Generator) -> Chec
             fid_dev = 1.0 - np.abs(overlaps) ** 2 / weights
             prob_dev = np.abs(weights - 1.0 / n**2)
             check.record(np.max(np.maximum(fid_dev, prob_dev)), count=n * n)
-    return check.result()
+    return check
 
 
-def _check_ledger(tables, rng: np.random.Generator) -> CheckResult:
+def _check_ledger(tables, rng: np.random.Generator) -> _Check:
     check = _Check("resource_ledger_accounting")
     for f in tables:
         n = build_partition(f).n_values
@@ -257,10 +251,10 @@ def _check_ledger(tables, rng: np.random.Generator) -> CheckResult:
         dev = max(dev, abs(ledger.bits_forward_wire - (n - 1).bit_length()))
         dev = max(dev, abs(ledger.bits_backward_wire - (n - 1).bit_length()))
         check.record(dev)
-    return check.result()
+    return check
 
 
-def _check_phase_identity(max_n: int = 8) -> CheckResult:
+def _check_phase_identity(max_n: int = 8) -> _Check:
     check = _Check("phase_exponential_shifts_basis", tolerance=1e-12)
     for N in range(1, max_n + 1):
         shift = phase_exponential(N, 1)
@@ -268,14 +262,14 @@ def _check_phase_identity(max_n: int = 8) -> CheckResult:
             target = np.zeros(N, dtype=np.complex128)
             target[(y + 1) % N] = 1.0
             check.record(np.max(np.abs(shift[:, y] - target)))
-    return check.result()
+    return check
 
 
-def _check_minimal_oracle(max_degree: int = 4) -> CheckResult:
+def _check_minimal_oracle(max_degree: int = 4) -> _Check:
     check = _Check("minimal_oracle_dressing_matches")
     for f in all_permutations(max_degree):
         check.record(check_local_equivalence(f))
-    return check.result()
+    return check
 
 
 def cmd_verify(args) -> int:
@@ -285,6 +279,9 @@ def cmd_verify(args) -> int:
     else:
         if args.max_m < 1 or args.max_n < 1:
             raise CliError("--max-m and --max-n must be at least 1")
+        if args.max_m * args.max_n > MAX_DENSE_ORACLE_DIM:
+            raise CliError(f"--max-m * --max-n = {args.max_m * args.max_n} exceeds "
+                           f"the dense oracle cap of {MAX_DENSE_ORACLE_DIM}")
         tables = _sweep_tables(args.max_m, args.max_n, args.trials, rng)
     log.info("verifying %d function tables", len(tables))
     checks = [

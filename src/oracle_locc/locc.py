@@ -30,7 +30,7 @@ ceil(log2 n_f) wire bits carrying log2(n_f) bits of information.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -85,13 +85,6 @@ class ScriptStep:
 
 
 @dataclass(frozen=True)
-class TranscriptStep:
-    step: int
-    party: str
-    description: str
-
-
-@dataclass(frozen=True)
 class WireRecord:
     """Classical message as it appeared on the channel."""
 
@@ -112,13 +105,7 @@ class ResourceLedger:
     bits_backward_wire: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "ebits_consumed": self.ebits_consumed,
-            "bits_forward_info": self.bits_forward_info,
-            "bits_backward_info": self.bits_backward_info,
-            "bits_forward_wire": self.bits_forward_wire,
-            "bits_backward_wire": self.bits_backward_wire,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,7 +121,7 @@ class Transcript:
     seed: int
     r: int
     s: int
-    steps: tuple[TranscriptStep, ...]
+    steps: tuple[ScriptStep, ...]  # the numbered steps of the script
     messages: tuple[WireRecord, ...]
     ledger: ResourceLedger
 
@@ -202,10 +189,9 @@ def _with_ancillas(ab: np.ndarray, n: int, r: int, s: int) -> StateVector:
 
 # --- step operators ------------------------------------------------------
 
-def _permutation(target, source: np.ndarray, description: str) -> LocalOperator:
+def _permutation(target, source: np.ndarray) -> LocalOperator:
     """The operator with a 1 at (i, source[i]) for every row i."""
-    return LocalOperator(target, source=source, phases=np.ones(len(source)),
-                         description=description)
+    return LocalOperator(target, source=source, phases=np.ones(len(source)))
 
 
 def step1_operator(f: FunctionTable) -> LocalOperator:
@@ -216,14 +202,14 @@ def step1_operator(f: FunctionTable) -> LocalOperator:
     level = np.searchsorted(partition.values, f.table)
     x, j = np.divmod(np.arange(f.M * n), n)
     source = x * n + (j - level[x]) % n
-    return _permutation(("A", "a"), source, "level-set index added onto a")
+    return _permutation(("A", "a"), source)
 
 
 def step3_operator(f: FunctionTable, r: int) -> LocalOperator:
     """Bob's relabelling j -> (r - j) mod n_f on b (its own inverse)."""
     n = build_partition(f).n_values
     source = (r - np.arange(n)) % n  # an involution, so row i reads column (r - i) mod n
-    return _permutation("b", source, f"relabel j -> ({r} - j) mod {n} on b")
+    return _permutation("b", source)
 
 
 def step4_operator(f: FunctionTable) -> LocalOperator:
@@ -233,13 +219,13 @@ def step4_operator(f: FunctionTable) -> LocalOperator:
     # |y, k> -> |y + values[k] mod N, k>, so row (y, k) reads column (y - values[k] mod N, k).
     y, k = np.divmod(np.arange(f.N * n), n)
     source = ((y - np.asarray(partition.values)[k]) % f.N) * n + k
-    return _permutation(("B", "b"), source, "local oracle from b onto B")
+    return _permutation(("B", "b"), source)
 
 
 def step5_operator(f: FunctionTable) -> LocalOperator:
     """Discrete Fourier transform on b (same matrix as the phase basis)."""
     n = build_partition(f).n_values
-    return LocalOperator("b", phase_states(n), description="Fourier transform on b")
+    return LocalOperator("b", phase_states(n))
 
 
 def step7_operator(f: FunctionTable, s: int) -> LocalOperator:
@@ -249,8 +235,7 @@ def step7_operator(f: FunctionTable, s: int) -> LocalOperator:
     phases = np.zeros(f.M, dtype=np.complex128)
     for k, cls in enumerate(partition.classes):
         phases[list(cls)] = np.exp(-2j * np.pi * k * s / n)
-    return LocalOperator("A", source=np.arange(f.M), phases=phases,
-                         description=f"phase correction for s={s} on A")
+    return LocalOperator("A", source=np.arange(f.M), phases=phases)
 
 
 OPERATOR_BUILDERS: dict[str, Callable[..., LocalOperator]] = {
@@ -331,11 +316,7 @@ def make_transcript(
     ledger: ResourceLedger,
 ) -> Transcript:
     """Assemble the transcript of one run of the given script."""
-    steps = tuple(
-        TranscriptStep(st.step, st.party, st.description)
-        for st in script
-        if st.step is not None
-    )
+    steps = tuple(st for st in script if st.step is not None)
     width = wire_bits(build_partition(f).n_values)
     messages = (
         WireRecord("alice", "bob", r, width),
@@ -388,9 +369,7 @@ def execute_script(
         if step.action == "apply":
             state = parties.apply(step, state, values.get(step.depends_on))
         elif step.action == "measure":
-            record = measure_computational(state, step.targets[0], rng)
-            state, values[step.value] = record.post_state, record.outcome
-            del record  # else its post_state outlives the next apply, a third state in memory
+            values[step.value], state = measure_computational(state, step.targets[0], rng)
             parties.measured(step, values[step.value])
         else:
             parties.sent(step, values[step.value])

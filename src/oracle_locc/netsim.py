@@ -190,31 +190,30 @@ def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
-def encode_matrix(matrix: np.ndarray) -> list:
-    """Complex matrix as nested [real, imag] pairs for the JSON payload."""
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(matrix)]
+def encode_matrix(values: np.ndarray) -> list:
+    """Complex array, matrix or vector, as nested [re, im] pairs for the JSON payload."""
+    z = np.asarray(values, dtype=np.complex128)
+    return np.stack((z.real, z.imag), axis=-1).tolist()
 
 
 def decode_matrix(data) -> np.ndarray:
     if not isinstance(data, list) or not data:
         raise WireFormatError("matrix payload must be a nonempty list of rows")
-    rows = []
-    for row in data:
-        if not isinstance(row, list) or len(row) != len(data):
-            raise WireFormatError("matrix payload must be square")
-        entries = []
-        for cell in row:
-            if not isinstance(cell, list) or len(cell) != 2:
-                raise WireFormatError("matrix entries must be [real, imag] pairs")
-            re, im = cell
-            if not (_is_number(re) and _is_number(im)):
-                raise WireFormatError("matrix entries must be numeric")
-            try:
-                entries.append(complex(re, im))
-            except OverflowError:
-                raise WireFormatError("matrix entries must fit in a double") from None
-        rows.append(entries)
-    return np.array(rows, dtype=np.complex128)
+    if not all(isinstance(row, list) and len(row) == len(data) for row in data):
+        raise WireFormatError("matrix payload must be square")
+    cells = _decode_pairs([cell for row in data for cell in row], "matrix entries")
+    return cells.reshape(len(data), len(data))
+
+
+def _decode_pairs(pairs: list, what: str) -> np.ndarray:
+    """A list of [re, im] JSON-number pairs as complex values, bit for bit."""
+    if not all(isinstance(p, list) and len(p) == 2 and _is_number(p[0]) and _is_number(p[1])
+               for p in pairs):
+        raise WireFormatError(f"{what} must be [re, im] pairs of numbers")
+    try:
+        return np.array(pairs, np.float64).view(np.complex128).reshape(-1)
+    except OverflowError:
+        raise WireFormatError(f"{what} must fit in a double") from None
 
 
 # --- channels -------------------------------------------------------------
@@ -469,15 +468,16 @@ class Referee:
         # measured so far; that operator, already validated, is the one applied.
         expected = build_step_operator(self.f, step.operation, value)
         if "source" in msg.payload:
-            self._check_monomial(msg.payload, step.operation, expected)
-            return expected
-        matrix = decode_matrix(msg.payload["matrix"])
-        if matrix.shape != expected.matrix.shape:
-            raise ProtocolOrderError(
-                f"rejected operator: {step.operation} has shape {matrix.shape}, "
-                f"expected {expected.matrix.shape}"
-            )
-        dev = np.max(np.abs(matrix - expected.matrix))
+            submitted = self._monomial_phases(msg.payload, step.operation, expected)
+            scripted = expected.phases
+        else:
+            submitted, scripted = decode_matrix(msg.payload["matrix"]), expected.matrix
+            if submitted.shape != scripted.shape:
+                raise ProtocolOrderError(
+                    f"rejected operator: {step.operation} has shape {submitted.shape}, "
+                    f"expected {scripted.shape}"
+                )
+        dev = np.max(np.abs(submitted - scripted))
         if not dev <= UNITARY_TOL:  # written so that NaN fails too
             raise ProtocolOrderError(
                 f"rejected operator: {step.operation} differs from the scripted one "
@@ -486,8 +486,8 @@ class Referee:
         return expected
 
     @staticmethod
-    def _check_monomial(payload: dict, operation: str, expected: LocalOperator) -> None:
-        """Check a {source, phases} request against the scripted operator in O(d)."""
+    def _monomial_phases(payload: dict, operation: str, expected: LocalOperator) -> np.ndarray:
+        """The phases of a {source, phases} request whose source is the scripted one, in O(d)."""
         if expected.source is None:
             raise ProtocolOrderError(
                 f"rejected operator: {operation} is not a monomial; send its matrix"
@@ -500,23 +500,12 @@ class Referee:
             raise WireFormatError(f"OP_REQUEST source and phases must be lists of length {d}")
         if not all(_is_int(i) for i in source):
             raise WireFormatError("OP_REQUEST source entries must be integers")
-        if not all(isinstance(p, list) and len(p) == 2 and _is_number(p[0]) and _is_number(p[1])
-                   for p in phases):
-            raise WireFormatError("OP_REQUEST phases must be [re, im] pairs of numbers")
+        submitted = _decode_pairs(phases, "OP_REQUEST phases")
         if source != expected.source.tolist():
             raise ProtocolOrderError(
                 f"rejected operator: {operation} permutes its basis unlike the scripted one"
             )
-        try:
-            pairs = np.array(phases, dtype=np.float64)
-        except OverflowError:
-            raise WireFormatError("OP_REQUEST phases must fit in a double") from None
-        dev = np.max(np.abs(pairs[:, 0] + 1j * pairs[:, 1] - expected.phases))
-        if not dev <= UNITARY_TOL:  # written so that NaN fails too
-            raise ProtocolOrderError(
-                f"rejected operator: {operation} differs from the scripted one "
-                f"(max phase deviation {dev:.3e})"
-            )
+        return submitted
 
     @staticmethod
     def _check_ownership(party: str, targets: tuple[str, ...]) -> None:
@@ -569,8 +558,7 @@ class PartyEndpoint:
             op = build_step_operator(self.f, step.operation, self.known.get(step.depends_on))
             payload = {"operation": step.operation, "targets": list(step.targets)}
             if op.source is not None:
-                payload["source"] = op.source.tolist()
-                payload["phases"] = np.column_stack((op.phases.real, op.phases.imag)).tolist()
+                payload.update(source=op.source.tolist(), phases=encode_matrix(op.phases))
             else:
                 payload["matrix"] = encode_matrix(op.matrix)
             self.conn.send("OP_REQUEST", payload)

@@ -110,13 +110,6 @@ class Partition:
     sizes: tuple[int, ...]
     reps: tuple[int, ...]
 
-    def class_index_of(self, x: int) -> int:
-        """Index j of the level set containing the input x."""
-        for j, cls in enumerate(self.classes):
-            if x in cls:
-                return j
-        raise ValueError(f"input {x} not covered by the partition")
-
 
 # One Partition per FunctionTable object.  Both are immutable, so sharing is
 # safe; the keys are weak, so the cache keeps no table alive.
@@ -194,11 +187,10 @@ def phase_exponential(N: int, c: float) -> np.ndarray:
     return (states.T * eigenphases) @ states.conj()
 
 
-def class_projectors(f: FunctionTable, partition: Partition | None = None) -> list[np.ndarray]:
+def class_projectors(f: FunctionTable) -> list[np.ndarray]:
     """Orthogonal projectors onto the level sets of f, resolving the identity on Z_M."""
-    partition = partition or build_partition(f)
     projectors = []
-    for cls in partition.classes:
+    for cls in build_partition(f).classes:
         P = np.zeros((f.M, f.M), dtype=np.complex128)
         for x in cls:
             P[x, x] = 1.0
@@ -255,7 +247,7 @@ def schmidt_decompose_oracle(f: FunctionTable) -> OracleSchmidtForm:
     (scaled by 1/sqrt(N)).
     """
     partition = build_partition(f)
-    projectors = class_projectors(f, partition)
+    projectors = class_projectors(f)
     terms = []
     for j in range(partition.n_values):
         K = partition.sizes[j]

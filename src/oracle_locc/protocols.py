@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .oracle import FunctionTable, Partition, apply_oracle, build_partition, phase_states
+from .oracle import FunctionTable, apply_oracle, build_partition, phase_states
 from .quantum import LocalOperator, StateVector, apply_local, entanglement_entropy, from_amps
 
 DECODE_TOL = 1e-10
@@ -53,9 +53,9 @@ def _check_message(value: int, bound: int, name: str) -> int:
     return value
 
 
-def representative_superposition(f: FunctionTable, partition: Partition | None = None) -> np.ndarray:
+def representative_superposition(f: FunctionTable) -> np.ndarray:
     """Alice's register state: equal weight on one representative per level set."""
-    partition = partition or build_partition(f)
+    partition = build_partition(f)
     amps = np.zeros(f.M, dtype=np.complex128)
     amps[list(partition.reps)] = 1.0 / np.sqrt(partition.n_values)
     return amps
@@ -69,8 +69,7 @@ def entangle_protocol(f: FunctionTable) -> tuple[StateVector, float]:
     function value, leaving a maximally entangled rank-n_f state, so the
     entropy across the A:B cut is log2(n_f) ebits.
     """
-    partition = build_partition(f)
-    amps = np.kron(representative_superposition(f, partition), _basis_vec(f.N, 0))
+    amps = np.kron(representative_superposition(f), _basis_vec(f.N, 0))
     initial = from_amps((f.M, f.N), ("A", "B"), amps)
     final = apply_oracle(f, initial)
     return final, entanglement_entropy(final, {"A"})
@@ -89,13 +88,13 @@ def send_forward(f: FunctionTable, r: int) -> ProtocolResult:
     return ProtocolResult(decoded, success, final, probs)
 
 
-def backward_decode_states(f: FunctionTable, partition: Partition | None = None) -> np.ndarray:
+def backward_decode_states(f: FunctionTable) -> np.ndarray:
     """Alice's decoding family as rows: row s' is n_f^{-1/2} sum_j e^{2 pi i j s'/n_f} |x_j>.
 
     The rows are orthonormal; they span only the representatives' subspace,
     so a full measurement needs one extra outcome for the complement.
     """
-    partition = partition or build_partition(f)
+    partition = build_partition(f)
     n = partition.n_values
     states = np.zeros((n, f.M), dtype=np.complex128)
     j = np.arange(n)
@@ -104,14 +103,14 @@ def backward_decode_states(f: FunctionTable, partition: Partition | None = None)
     return states
 
 
-def _grading_phases(f: FunctionTable, s: int, partition: Partition | None = None) -> np.ndarray:
+def _grading_phases(f: FunctionTable, s: int) -> np.ndarray:
     """Bob's encoding: phase e^{2 pi i j s/n_f} on |(N - f_j) mod N>, 1 elsewhere.
 
     The phased positions are exactly the support of Bob's half of the
     pre-shared state, so any unitary completion would act the same way;
     identity on the complement is the simplest.
     """
-    partition = partition or build_partition(f)
+    partition = build_partition(f)
     s = _check_message(s, partition.n_values, "s")
     n = partition.n_values
     phases = np.ones(f.N, dtype=np.complex128)
@@ -137,10 +136,10 @@ def send_backward(f: FunctionTable, s: int) -> ProtocolResult:
     for j in range(n):
         amps[partition.reps[j], (f.N - partition.values[j]) % f.N] = 1.0 / np.sqrt(n)
     shared = from_amps((f.M, f.N), ("A", "B"), amps.reshape(-1))
-    grading = LocalOperator("B", source=np.arange(f.N), phases=_grading_phases(f, s, partition))
+    grading = LocalOperator("B", source=np.arange(f.N), phases=_grading_phases(f, s))
     graded = apply_local(shared, grading)
     final = apply_oracle(f, graded)
-    decode = backward_decode_states(f, partition)
+    decode = backward_decode_states(f)
     projected = decode.conj() @ final.tensor_view()
     family_probs = np.sum(np.abs(projected) ** 2, axis=1)
     residual = max(0.0, 1.0 - float(family_probs.sum()))

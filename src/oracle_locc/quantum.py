@@ -237,7 +237,6 @@ class LocalOperator:
 
     target: str | tuple[str, str]
     dense: np.ndarray | None = field(default=None, repr=False)
-    description: str = ""
     source: np.ndarray | None = field(default=None, repr=False)
     phases: np.ndarray | None = field(default=None, repr=False)
 
@@ -340,29 +339,14 @@ def collapse(state: StateVector, label: str, outcome: int) -> tuple[float, State
     return prob, StateVector(dims, state.labels, _Owned(psi3[:, outcome] / np.sqrt(prob)))
 
 
-@dataclass(frozen=True, eq=False)
-class MeasurementRecord:
-    """One projective computational-basis measurement and its outcome.
-
-    post_state is the collapsed state, with the measured subsystem at
-    dimension 1 (see collapse).
-    """
-
-    subsystem: str
-    outcome: int
-    probability: float
-    post_state: StateVector
-    probabilities: np.ndarray = field(repr=False, default=None)
-
-
 def measure_computational(
     state: StateVector, label: str, rng: np.random.Generator | int
-) -> MeasurementRecord:
+) -> tuple[int, StateVector]:
     """Sample a computational-basis measurement of one subsystem.
 
-    All randomness flows through the supplied generator (an int seeds a
-    fresh one), so runs are reproducible.  The full outcome distribution is
-    included in the record for deterministic assertions.
+    Returns the outcome and the collapsed state, with the measured subsystem
+    at dimension 1 (see collapse).  All randomness flows through the
+    supplied generator (an int seeds a fresh one), so runs are reproducible.
     """
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(int(rng))
@@ -375,10 +359,8 @@ def measure_computational(
     outcome = min(outcome, len(probs) - 1)
     while probs[outcome] == 0.0:  # guard against landing on a zero branch at a float edge
         outcome -= 1
-    prob, post = collapse(state, label, outcome)
-    frozen = probs.copy()
-    frozen.setflags(write=False)
-    return MeasurementRecord(label, outcome, prob, post, frozen)
+    _, post = collapse(state, label, outcome)
+    return outcome, post
 
 
 def partial_trace(state: StateVector, keep: Iterable[str]) -> np.ndarray:

@@ -96,9 +96,8 @@ class TestVerify:
         check = _Check("nan_probe")
         for deviation in (0.0, float("nan"), 0.0):
             check.record(deviation)
-        result = check.result()
-        assert np.isnan(result.max_deviation)
-        assert result.passed is False
+        assert np.isnan(check.max_deviation)
+        assert check.passed is False
 
     def test_wrong_step7_sign_fails_the_branch_check(self, monkeypatch, capsys):
         # The branch check must run the scripted builders.  A wrong sign is
@@ -118,8 +117,23 @@ class TestVerify:
     def test_missing_table_file_is_a_usage_error(self, capsys, tmp_path):
         assert cli("verify", "--f", str(tmp_path / "absent.json")) == 2
 
+    def test_non_utf8_table_file_is_a_usage_error(self, capsys, tmp_path):
+        table = tmp_path / "table.json"
+        table.write_bytes(b'{"M": 1, "N": 1, "table": [0]}\xff')
+        assert cli("verify", "--f", str(table)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot read") and captured.err.count("\n") == 1
+
     def test_nonpositive_bounds_are_a_usage_error(self):
         assert cli("verify", "--max-m", "0") == 2
+
+    def test_bounds_beyond_the_dense_cap_are_a_usage_error(self, capsys):
+        assert cli("verify", "--max-m", "100", "--max-n", "100", "--trials", "2") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "dense oracle cap" in captured.err
 
     def test_out_flag_writes_the_report_file(self, tmp_path, capsys):
         target = tmp_path / "report.json"

@@ -31,6 +31,7 @@ from oracle_locc.netsim import (
     TransportError,
     WireFormatError,
     WireMessage,
+    _decode_pairs,
     connect_socket,
     decode_matrix,
     decode_wire,
@@ -206,6 +207,9 @@ class TestMatrixCodec:
         mat = random_unitary(5, rng)
         again = decode_matrix(json.loads(json.dumps(encode_matrix(mat))))
         assert np.array_equal(again, mat)
+        phases = np.array([complex(-0.0, 1.0), complex(5e-324, -0.0), complex(1e300, -1e-300)])
+        again = _decode_pairs(json.loads(json.dumps(encode_matrix(phases))), "phases")
+        assert again.tobytes() == phases.tobytes()
 
     def test_rejects_malformed_matrices(self):
         bad = [

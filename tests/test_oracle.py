@@ -141,10 +141,6 @@ class TestPartition:
     def test_class_index_lookup(self):
         partition = build_partition(FunctionTable(4, 3, (2, 0, 2, 1)))
         assert partition.values == (0, 1, 2)
-        assert partition.class_index_of(0) == 2
-        assert partition.class_index_of(1) == 0
-        with pytest.raises(ValueError):
-            partition.class_index_of(9)
 
     def test_projectors_resolve_identity(self):
         f = FunctionTable(4, 3, (1, 1, 0, 2))

@@ -8,12 +8,15 @@ draws 105 random tables with M, N <= 8 and a random input state for each
 from numpy's default_rng(2024), runs each through run_locc and
 run_in_process for seeds 0-3, and writes the 420 run_locc transcripts, a
 digest of the final amplitudes, and whether run_in_process gave the same
-transcript and amplitudes bytes for bytes.  It also runs the capacity
-protocols: send_bidirectional on every permutation with M <= 4 for every
-(r, s), and send_forward (every r), send_backward (every s) and
-entangle_protocol on every table with M, N <= 3.  For each run it keeps
-the decoded value and success flag (the ebits, for entangle_protocol)
-and the final amplitudes.
+transcript and amplitudes bytes for bytes.  During the run_in_process
+runs it wraps netsim.encode_wire and keeps one SHA-256 per sender over
+that sender's frames in send order (per sender, because the two parties'
+hellos race between threads), and a frame count per message kind.  It
+also runs the capacity protocols: send_bidirectional on every permutation
+with M <= 4 for every (r, s), and send_forward (every r), send_backward
+(every s) and entangle_protocol on every table with M, N <= 3.  For each
+run it keeps the decoded value and success flag (the ebits, for
+entangle_protocol) and the final amplitudes.
 
 `compare` prints how many transcripts differ in each top-level field and
 each ledger field, with the largest difference of each ledger field in
@@ -23,7 +26,10 @@ how many decoded values or success flags differ and the largest
 difference of an amplitude and of the ebits, compared as values, so
 that the sign of a zero does not count.  It exits 1 if r or s differs
 anywhere, if run_in_process matched run_locc in BEFORE and no longer does
-in AFTER, or if a protocol's decoded value or success flag differs.
+in AFTER, or if a protocol's decoded value or success flag differs.  It
+prints the frame digest of each sender and the frame count of each kind,
+before and after, but does not fail on them, since a change of the wire
+bytes can be intended.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ import hashlib
 import json
 import math
 import sys
+import threading
 from collections import Counter
 from itertools import permutations, product
 
@@ -47,6 +54,16 @@ def record(src: str, out_path: str) -> None:
     from oracle_locc import locc, netsim, protocols, quantum
     from oracle_locc.oracle import FunctionTable, build_partition
 
+    frames, kinds, lock = {}, Counter(), threading.Lock()
+    encode_wire = netsim.encode_wire
+
+    def hashing_encode_wire(msg):
+        frame = encode_wire(msg)
+        with lock:
+            frames.setdefault(msg.sender, hashlib.sha256()).update(frame)
+            kinds[msg.kind] += 1
+        return frame
+
     rng = np.random.default_rng(SEED)
     transcripts, amps, in_process_same = [], hashlib.sha256(), True
     for _ in range(TABLES):
@@ -55,7 +72,11 @@ def record(src: str, out_path: str) -> None:
         inp = quantum.random_state((M, N), ("A", "B"), rng)
         for seed in RUN_SEEDS:
             state, transcript, _ = locc.run_locc(f, inp, seed)
-            state2, transcript2 = netsim.run_in_process(f, inp, seed)
+            netsim.encode_wire = hashing_encode_wire
+            try:
+                state2, transcript2 = netsim.run_in_process(f, inp, seed)
+            finally:
+                netsim.encode_wire = encode_wire
             in_process_same &= (transcript2.to_json() == transcript.to_json()
                                 and state2.amps.tobytes() == state.amps.tobytes())
             transcripts.append(transcript.to_json_dict())
@@ -84,12 +105,14 @@ def record(src: str, out_path: str) -> None:
             final, ebits = protocols.entangle_protocol(f)
             runs["entangle"].append({"ebits": ebits, "amps": amplitudes(final)})
     result = {"transcripts": transcripts, "amps": amps.hexdigest()[:16],
-              "in_process_same": in_process_same, "protocols": runs}
+              "in_process_same": in_process_same, "protocols": runs,
+              "frames": {sender: h.hexdigest()[:16] for sender, h in sorted(frames.items())},
+              "frame_kinds": dict(sorted(kinds.items()))}
     with open(out_path, "w") as fh:
         json.dump(result, fh)
     print(f"{len(transcripts)} transcripts; amps {result['amps']}; "
-          f"run_in_process identical: {in_process_same}; protocol runs: "
-          + ", ".join(f"{name} {len(entries)}" for name, entries in runs.items()))
+          f"run_in_process identical: {in_process_same}; {sum(kinds.values())} frames; "
+          "protocol runs: " + ", ".join(f"{name} {len(entries)}" for name, entries in runs.items()))
 
 
 def compare(before_path: str, after_path: str) -> int:
@@ -120,6 +143,10 @@ def compare(before_path: str, after_path: str) -> int:
         print(f"{key}: {count} of {len(pairs)} differ{tail}")
     print("amps digest:", before["amps"], "->", after["amps"])
     print("run_in_process identical:", before["in_process_same"], "->", after["in_process_same"])
+    for key in ("frames", "frame_kinds"):
+        old, new = before.get(key, {}), after.get(key, {})
+        for name in sorted(set(old) | set(new)):
+            print(f"frames {name}: {old.get(name)} -> {new.get(name)}")
     lost_in_process = before["in_process_same"] and not after["in_process_same"]
     protocols_differ = compare_protocols(before["protocols"], after["protocols"])
     return 1 if differs["r"] or differs["s"] or lost_in_process or protocols_differ else 0
