@@ -101,7 +101,10 @@ def load_function_table(source: str) -> FunctionTable:
 def emit(document: dict | str, out: str | None) -> None:
     text = document if isinstance(document, str) else json.dumps(document, indent=2)
     if out:
-        Path(out).write_text(text + "\n", encoding="utf-8")
+        try:
+            Path(out).write_text(text + "\n", encoding="utf-8")
+        except OSError as exc:
+            raise CliError(f"cannot write --out {out}: {exc}") from exc
     else:
         sys.stdout.write(text + "\n")
 
@@ -382,11 +385,8 @@ def cmd_run(args) -> int:
                       probabilities=[[float(p) for p in row] for row in outcome.outcome_probabilities])
     else:
         raise CliError(f"unknown protocol {args.protocol!r}")
-    if not result.get("success", True):
-        emit(result, args.out)
-        return EXIT_VERIFY_FAILED
     emit(result, args.out)
-    return EXIT_OK
+    return EXIT_OK if result.get("success", True) else EXIT_VERIFY_FAILED
 
 
 def cmd_serve(args) -> int:
@@ -474,6 +474,8 @@ def main(argv=None) -> int:
         )
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "seed", 0) < 0:  # checked before any table is drawn or socket opened
+            raise CliError(f"--seed must be a non-negative integer, not {args.seed}")
         return args.handler(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

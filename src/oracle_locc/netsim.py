@@ -8,11 +8,12 @@ ownership on every request and relays classical values between the parties.
 
 Wire format: each message is framed as a 4-byte little-endian unsigned
 length prefix followed by a UTF-8 JSON object with exactly the keys
-{seq, sender, kind, payload} in that order.  Frames above 1 MiB are
-rejected.  Each direction of a connection numbers its messages with a
-strictly increasing seq.  A connection's first message must be a
-HANDSHAKE carrying (role, M, N, function-table hash) so both ends agree
-on the protocol instance before any quantum step.
+{seq, sender, kind, payload} in that order.  Frames above MAX_FRAME_BYTES
+(1 MiB) are rejected.  Each direction of a connection numbers its
+messages with a strictly increasing seq.  A connection's first message
+must be a HANDSHAKE carrying (role, M, N, function-table hash) so both
+ends agree on the protocol instance before any quantum step.  An end that
+fails sends one ERROR (code, message) with its cause before it closes.
 
 An OP_REQUEST carries its operator in one of two shapes.  A monomial
 operator (a permutation times phases: steps 1, 3, 4 and 7) is sent as
@@ -52,25 +53,18 @@ from .oracle import FunctionTable, build_partition
 from .quantum import UNITARY_TOL, LocalOperator, StateVector, apply_local
 
 MAX_FRAME_BYTES = 1 << 20
+MAX_ERROR_TEXT = 1000  # characters of cause text an ERROR frame carries or is read for
 DEFAULT_TIMEOUT = 5.0
 
-KINDS = (
-    "CLASSICAL_VALUE",
-    "OP_REQUEST",
-    "MEASURE_REQUEST",
-    "MEASURE_RESULT",
-    "HANDSHAKE",
-    "ERROR",
-)
-
-# Payload keys required per message kind (exact set).
+# The message kinds, each with its payload key sets; a payload has exactly one of them.
 _PAYLOAD_KEYS = {
-    "CLASSICAL_VALUE": {"value", "bits"},
-    "OP_REQUEST": None,  # two shapes: a dense matrix or a monomial's source and phases
-    "MEASURE_REQUEST": {"subsystem"},
-    "MEASURE_RESULT": {"subsystem", "outcome"},
-    "HANDSHAKE": None,  # two shapes: party hello and referee ready
-    "ERROR": {"code", "message"},
+    "CLASSICAL_VALUE": ({"value", "bits"},),
+    # a dense matrix, or a monomial's source and phases
+    "OP_REQUEST": ({"operation", "targets", "matrix"}, {"operation", "targets", "source", "phases"}),
+    "MEASURE_REQUEST": ({"subsystem"},),
+    "MEASURE_RESULT": ({"subsystem", "outcome"},),
+    "HANDSHAKE": ({"role", "m", "n", "f_sha256"}, {"status"}),  # party hello, referee ready
+    "ERROR": ({"code", "message"},),
 }
 
 
@@ -116,9 +110,14 @@ def encode_wire(msg: WireMessage) -> bytes:
     body = json.dumps(
         {"seq": msg.seq, "sender": msg.sender, "kind": msg.kind, "payload": msg.payload}
     ).encode("utf-8")
-    if len(body) > MAX_FRAME_BYTES:
-        raise WireFormatError(f"frame of {len(body)} bytes exceeds the 1 MiB cap")
+    _refuse_oversize("frame length", len(body))
     return struct.pack("<I", len(body)) + body
+
+
+def _refuse_oversize(what: str, length: int) -> None:
+    # MAX_FRAME_BYTES is read at call time, so a lowered cap is the one named.
+    if length > MAX_FRAME_BYTES:
+        raise WireFormatError(f"{what} {length} exceeds the {MAX_FRAME_BYTES}-byte cap")
 
 
 def decode_wire(frame: bytes) -> WireMessage:
@@ -126,8 +125,7 @@ def decode_wire(frame: bytes) -> WireMessage:
     if len(frame) < 4:
         raise WireFormatError("frame shorter than the 4-byte length prefix")
     (length,) = struct.unpack("<I", frame[:4])
-    if length > MAX_FRAME_BYTES:
-        raise WireFormatError(f"declared frame length {length} exceeds the 1 MiB cap")
+    _refuse_oversize("declared frame length", length)
     if len(frame) != 4 + length:
         raise WireFormatError(f"frame length {len(frame) - 4} does not match declared {length}")
     try:
@@ -142,7 +140,7 @@ def decode_wire(frame: bytes) -> WireMessage:
         raise WireFormatError("seq must be a non-negative integer")
     if not isinstance(sender, str):
         raise WireFormatError("sender must be a string")
-    if kind not in KINDS:
+    if kind not in _PAYLOAD_KEYS:
         raise WireFormatError(f"unknown message kind {kind!r}")
     if not isinstance(payload, list) or any(not isinstance(p, tuple) or len(p) != 2 for p in payload):
         raise WireFormatError("payload must be a JSON object")
@@ -154,9 +152,11 @@ def decode_wire(frame: bytes) -> WireMessage:
 
 
 def _check_payload(kind: str, payload: dict) -> None:
-    required = _PAYLOAD_KEYS[kind]
-    if required is not None and set(payload) != required:
-        raise WireFormatError(f"{kind} payload keys must be exactly {sorted(required)}")
+    shapes = _PAYLOAD_KEYS[kind]
+    if set(payload) not in shapes:
+        raise WireFormatError(
+            f"{kind} payload keys must be exactly {' or '.join(str(sorted(s)) for s in shapes)}"
+        )
     if kind == "CLASSICAL_VALUE":
         value, bits = payload["value"], payload["bits"]
         if not (_is_int(value) and _is_int(bits)):
@@ -171,13 +171,12 @@ def _check_payload(kind: str, payload: dict) -> None:
         outcome = payload.get("outcome")
         if kind == "MEASURE_RESULT" and not (_is_int(outcome) and outcome >= 0):
             raise WireFormatError("MEASURE_RESULT outcome must be a non-negative integer")
-    elif kind == "OP_REQUEST":
-        shapes = ({"operation", "targets", "matrix"}, {"operation", "targets", "source", "phases"})
-        if set(payload) not in shapes:
-            raise WireFormatError(f"OP_REQUEST payload keys must be exactly one of {shapes}")
-    elif kind == "HANDSHAKE":
-        if set(payload) not in ({"role", "m", "n", "f_sha256"}, {"status"}):
-            raise WireFormatError("HANDSHAKE payload must be a hello or a ready message")
+    elif kind == "ERROR":
+        code = payload["code"]
+        if not (isinstance(code, str) and code in _ERROR_TYPES):
+            raise WireFormatError(f"ERROR code must be one of {sorted(_ERROR_TYPES)}")
+        if not isinstance(payload["message"], str):
+            raise WireFormatError("ERROR message must be a string")
 
 
 def _is_int(x) -> bool:
@@ -229,12 +228,8 @@ class QueueChannel:
 
     @staticmethod
     def pair(timeout: float = DEFAULT_TIMEOUT) -> tuple["QueueChannel", "QueueChannel"]:
-        left_to_right: queue.Queue = queue.Queue()
-        right_to_left: queue.Queue = queue.Queue()
-        return (
-            QueueChannel(left_to_right, right_to_left, timeout),
-            QueueChannel(right_to_left, left_to_right, timeout),
-        )
+        there, back = queue.Queue(), queue.Queue()
+        return QueueChannel(there, back, timeout), QueueChannel(back, there, timeout)
 
     def send(self, frame: bytes) -> None:
         self._out.put(frame)
@@ -274,8 +269,7 @@ class SocketChannel:
         if prefix is None:
             return None
         (length,) = struct.unpack("<I", prefix)
-        if length > MAX_FRAME_BYTES:
-            raise WireFormatError(f"declared frame length {length} exceeds the 1 MiB cap")
+        _refuse_oversize("declared frame length", length)
         return prefix + self._recv_exact(length, deadline, eof_ok=False)
 
     def _recv_exact(self, count: int, deadline: float, eof_ok: bool) -> bytes | None:
@@ -310,13 +304,15 @@ class Connection:
     """Seq-numbered message stream over a byte channel.
 
     Outgoing messages are numbered 1, 2, ... per connection; incoming seq
-    must strictly increase.  Receiving an ERROR raises the matching
-    exception type.
+    must strictly increase.  An ERROR raises the type its code names, with
+    at most MAX_ERROR_TEXT characters of its message; on a connection whose
+    `peer` the referee has set, TransportError("<peer> failed: <Type>: ...").
     """
 
     def __init__(self, channel, local_id: str):
         self.channel = channel
         self.local_id = local_id
+        self.peer: str | None = None
         self._next_seq = 1
         self._last_seen = 0
 
@@ -327,9 +323,22 @@ class Connection:
         return msg
 
     def recv(self, expect: tuple[str, ...] | None = None) -> WireMessage:
+        msg = self._next()
+        if msg is None:
+            raise TransportError("connection closed")
+        if expect is not None and msg.kind not in expect:
+            raise ProtocolOrderError(f"expected {expect}, got {msg.kind}")
+        return msg
+
+    def wait_closed(self) -> None:
+        if self._next() is not None:
+            raise ProtocolOrderError("unexpected message after protocol completion")
+
+    def _next(self) -> WireMessage | None:
+        """The next message, or None at the peer's EOF; an ERROR raises."""
         frame = self.channel.recv()
         if frame is None:
-            raise TransportError("connection closed")
+            return None
         msg = decode_wire(frame)
         if msg.seq <= self._last_seen:
             raise ProtocolOrderError(
@@ -337,19 +346,28 @@ class Connection:
             )
         self._last_seen = msg.seq
         if msg.kind == "ERROR":
-            exc_type = _ERROR_TYPES.get(msg.payload["code"], RuntimeError)
-            raise exc_type(msg.payload["message"])
-        if expect is not None and msg.kind not in expect:
-            raise ProtocolOrderError(f"expected {expect}, got {msg.kind}")
+            cause = _ERROR_TYPES[msg.payload["code"]](_clip(msg.payload["message"]))
+            if self.peer is None:
+                raise cause
+            raise TransportError(f"{self.peer} failed: {type(cause).__name__}: {cause}") from cause
         return msg
-
-    def wait_closed(self) -> None:
-        frame = self.channel.recv()
-        if frame is not None:
-            raise ProtocolOrderError("unexpected message after protocol completion")
 
     def close(self) -> None:
         self.channel.close()
+
+
+def _clip(text: str) -> str:
+    return text if len(text) <= MAX_ERROR_TEXT else text[: MAX_ERROR_TEXT - 3] + "..."
+
+
+def _send_error(connections: list[Connection], exc: Exception) -> None:
+    """Tell each peer why this end fails, in one ERROR frame; a dead channel is skipped."""
+    code = next((c for c, t in _ERROR_TYPES.items() if isinstance(exc, t)), "PROTOCOL_ORDER")
+    for conn in connections:
+        try:
+            conn.send("ERROR", {"code": code, "message": _clip(str(exc))})
+        except (TransportError, OSError):
+            pass
 
 
 # --- referee --------------------------------------------------------------
@@ -377,24 +395,18 @@ class Referee:
         try:
             self.connections = self._handshake(connections)
             state, transcript = execute_script(self.f, self.input_state, self.seed, self)
-        except Exception as exc:
-            code = next(
-                (c for c, t in _ERROR_TYPES.items() if isinstance(exc, t)), "PROTOCOL_ORDER"
-            )
             for conn in connections:
-                try:
-                    conn.send("ERROR", {"code": code, "message": str(exc)}, sender="referee")
-                except (TransportError, OSError):
-                    pass
+                conn.wait_closed()
+        except Exception as exc:
+            _send_error(connections, exc)
             raise
-        for conn in connections:
-            conn.wait_closed()
         return state, transcript
 
     def _handshake(self, connections: list[Connection]) -> dict[str, Connection]:
         """Read one hello per connection and key the connection by its declared role."""
         by_role: dict[str, Connection] = {}
         for conn in connections:
+            conn.peer = "a party"  # until its hello names it; never from a frame's text
             msg = conn.recv()
             payload = msg.payload
             if msg.kind != "HANDSHAKE" or "role" not in payload:
@@ -410,8 +422,9 @@ class Referee:
             if payload["f_sha256"] != self.f.sha256():
                 raise HandshakeMismatch(f"{role}'s function table differs from the referee's")
             by_role[role] = conn
+            conn.peer = role
         for conn in by_role.values():
-            conn.send("HANDSHAKE", {"status": "ready"}, sender="referee")
+            conn.send("HANDSHAKE", {"status": "ready"})
         return by_role
 
     def apply(self, step: ScriptStep, state: StateVector, value: int | None) -> StateVector:
@@ -425,9 +438,7 @@ class Referee:
             raise ProtocolOrderError(
                 f"script expects a measurement of {step.targets[0]}, got {subsystem}"
             )
-        self.connections[step.party].send(
-            "MEASURE_RESULT", {"subsystem": subsystem, "outcome": outcome}, sender="referee"
-        )
+        self.connections[step.party].send("MEASURE_RESULT", {"subsystem": subsystem, "outcome": outcome})
 
     def sent(self, step: ScriptStep, value: int) -> None:
         msg = self._recv(step, "CLASSICAL_VALUE")
@@ -520,7 +531,8 @@ class PartyEndpoint:
     """Walks the script from one party's perspective, issuing requests.
 
     The endpoint closes its connection once its own part of the script is
-    finished; the referee reads that EOF as completion.
+    finished, which the referee reads as completion, or once it fails,
+    after one ERROR frame with its cause.
     """
 
     def __init__(self, role: str, f: FunctionTable, conn: Connection):
@@ -533,17 +545,20 @@ class PartyEndpoint:
 
     def run(self) -> dict[str, int]:
         """Execute the party's side; returns the classical values it learned."""
-        self.conn.send(
-            "HANDSHAKE",
-            {"role": self.role, "m": self.f.M, "n": self.f.N, "f_sha256": self.f.sha256()},
-        )
-        ready = self.conn.recv(expect=("HANDSHAKE",))
-        if ready.payload.get("status") != "ready":
-            raise HandshakeMismatch(f"unexpected handshake reply {ready.payload}")
-        width = wire_bits(build_partition(self.f).n_values)
         try:
+            self.conn.send(
+                "HANDSHAKE",
+                {"role": self.role, "m": self.f.M, "n": self.f.N, "f_sha256": self.f.sha256()},
+            )
+            ready = self.conn.recv(expect=("HANDSHAKE",))
+            if ready.payload.get("status") != "ready":
+                raise HandshakeMismatch(f"unexpected handshake reply {ready.payload}")
+            width = wire_bits(build_partition(self.f).n_values)
             for step in build_locc_script(self.f):
                 self._run_step(step, width)
+        except Exception as exc:
+            _send_error([self.conn], exc)
+            raise
         finally:
             self.conn.close()
         return dict(self.known)
@@ -575,43 +590,30 @@ class PartyEndpoint:
 def run_in_process(
     f: FunctionTable, input_state: StateVector, seed: int, timeout: float = DEFAULT_TIMEOUT
 ) -> tuple[StateVector, Transcript]:
-    """Full distributed run with both endpoints on threads and queue channels."""
+    """Full distributed run with both endpoints on threads and queue channels.
+
+    A party that fails tells the referee in an ERROR frame, as over TCP, so
+    the referee raises TransportError("<role> failed: <Type>: <cause>").
+    """
     referee_side_a, alice_side = QueueChannel.pair(timeout)
     referee_side_b, bob_side = QueueChannel.pair(timeout)
     connections = [Connection(referee_side_a, "referee"), Connection(referee_side_b, "referee")]
-    endpoints = [
-        PartyEndpoint("alice", f, Connection(alice_side, "alice")),
-        PartyEndpoint("bob", f, Connection(bob_side, "bob")),
-    ]
-    failures: list[tuple[str, BaseException]] = []
 
-    def drive(endpoint: PartyEndpoint) -> None:
+    def drive(role: str, channel: QueueChannel) -> None:
         try:
-            endpoint.run()
-        except BaseException as exc:  # propagated to the caller after join
-            failures.append((endpoint.role, exc))
+            PartyEndpoint(role, f, Connection(channel, role)).run()
+        except Exception:
+            pass  # its cause went to the referee on the wire
 
-    threads = [threading.Thread(target=drive, args=(e,), daemon=True) for e in endpoints]
+    threads = [threading.Thread(target=drive, args=party, daemon=True)
+               for party in (("alice", alice_side), ("bob", bob_side))]
     for t in threads:
         t.start()
     try:
-        try:
-            state, transcript = Referee(f, input_state, seed).execute(connections)
-        finally:
-            for t in threads:
-                t.join(timeout=timeout)
-    except TransportError as exc:
-        # The referee sees only the closed channel; the party that closed it
-        # has the cause.  A party failure whose message is the referee's own
-        # came from the ERROR frame the referee sent, so it is not the cause.
-        causes = [(role, cause) for role, cause in failures if str(cause) != str(exc)]
-        if not causes:
-            raise
-        role, cause = causes[0]
-        raise TransportError(f"{role} failed: {type(cause).__name__}: {cause}") from cause
-    if failures:
-        raise failures[0][1]
-    return state, transcript
+        return Referee(f, input_state, seed).execute(connections)
+    finally:
+        for t in threads:
+            t.join(timeout=timeout)
 
 
 def serve_socket(
@@ -664,8 +666,4 @@ def connect_socket(
         sock = socket.create_connection((host, port), timeout=timeout)
     except OSError as exc:
         raise TransportError(f"cannot connect to {host}:{port}: {exc}") from exc
-    channel = SocketChannel(sock, timeout)
-    try:
-        return PartyEndpoint(role, f, Connection(channel, role)).run()
-    finally:
-        channel.close()
+    return PartyEndpoint(role, f, Connection(SocketChannel(sock, timeout), role)).run()

@@ -232,6 +232,57 @@ class TestRun:
         assert cli() == 2
 
 
+class TestUsageErrors:
+    """Bad arguments end in exit 2 and one `error:` line, before any work is done."""
+
+    @pytest.mark.parametrize("argv", [
+        ("run", "--f", IDENTITY2, "--seed", "-1"),
+        ("serve", "--f", IDENTITY2, "--seed", "-1", "--timeout", "1"),
+        ("verify", "--max-m", "1", "--max-n", "1", "--seed", "-1"),
+    ])
+    def test_negative_seed(self, capsys, argv):
+        assert cli(*argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --seed") and captured.err.count("\n") == 1
+
+    def test_out_into_a_missing_directory(self, capsys, tmp_path):
+        out = tmp_path / "missing" / "x.json"
+        assert cli("verify", "--max-m", "1", "--max-n", "1", "--out", str(out)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot write") and captured.err.count("\n") == 1
+
+
+def serve_connect(command, env, table, clients, serve_args=()):
+    """A `serve` process and one `connect` process per (role, table) in clients.
+
+    Returns the (returncode, stderr) of the referee, then of each client, in
+    that order; the referee's `listening on` line is read off its stderr.
+    """
+    server = subprocess.Popen(
+        [*command, "serve", "--f", table, "--port", "0", "--timeout", "20", *serve_args],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+    )
+    procs = [server]
+    try:
+        announcement = server.stderr.readline()
+        assert announcement.startswith("listening on ")
+        port = int(announcement.strip().rsplit(":", 1)[1])
+        for role, client_table in clients:
+            procs.append(subprocess.Popen(
+                [*command, "connect", "--role", role, "--f", client_table,
+                 "--port", str(port), "--timeout", "20"],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+            ))
+        errors = [proc.communicate(timeout=60)[1] for proc in procs]
+    finally:
+        for proc in procs:
+            proc.kill()
+            proc.wait()
+    return [(proc.returncode, err) for proc, err in zip(procs, errors)]
+
+
 class TestScriptProcess:
     """End-to-end through the CLI as its own OS process (`conftest.cli_command`).
 
@@ -328,31 +379,31 @@ class TestScriptProcess:
     def test_protocol_error_in_serve_connect_is_one_line_per_process(self):
         # Alice declares a different table, so the referee's handshake fails.
         command, env = cli_command()
-        server = subprocess.Popen(
-            [*command, "serve", "--f", IDENTITY2, "--port", "0", "--timeout", "20"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
-        )
-        clients = []
-        try:
-            announcement = server.stderr.readline()
-            assert announcement.startswith("listening on ")
-            port = int(announcement.strip().rsplit(":", 1)[1])
-            for role, table in (("alice", SWAP2), ("bob", IDENTITY2)):
-                clients.append(subprocess.Popen(
-                    [*command, "connect", "--role", role, "--f", table,
-                     "--port", str(port), "--timeout", "20"],
-                    stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
-                ))
-            errors = [proc.communicate(timeout=60)[1] for proc in (server, *clients)]
-        finally:
-            for proc in (server, *clients):
-                proc.kill()
-                proc.wait()
-        for proc, err in zip((server, *clients), errors):
-            assert proc.returncode == 1, err
+        results = serve_connect(command, env, IDENTITY2, (("alice", SWAP2), ("bob", IDENTITY2)))
+        for returncode, err in results:
+            assert returncode == 1, err
             assert err.count("\n") == 1 and "Traceback" not in err, err
             assert err.startswith("protocol error: HandshakeMismatch: "), err
             assert "alice's function table differs from the referee's" in err, err
+
+    def test_party_failure_in_serve_connect_names_its_cause_in_every_process(self):
+        # Under the 4 KiB cap Alice cannot encode her step-1 frame.  Her ERROR
+        # frame tells the referee, which tells Bob.
+        low_cap = [sys.executable, "-c", LOW_FRAME_CAP_CLI]
+        referee, alice, bob = serve_connect(
+            low_cap, src_env(), PERMUTATION24,
+            (("alice", PERMUTATION24), ("bob", PERMUTATION24)), serve_args=("--seed", "1"),
+        )
+        for returncode, err in (referee, bob):
+            assert returncode == 3, err
+            assert err.count("\n") == 1 and "Traceback" not in err, err
+            assert err.startswith(
+                "transport error: alice failed: WireFormatError: frame length "), err
+            assert err.endswith(" exceeds the 4096-byte cap\n"), err
+        returncode, err = alice
+        assert returncode == 1, err
+        assert err.count("\n") == 1 and "Traceback" not in err, err
+        assert err.startswith("protocol error: WireFormatError: frame length "), err
 
     def test_party_failure_is_one_line_naming_its_cause(self):
         proc = subprocess.run(

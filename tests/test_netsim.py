@@ -23,6 +23,7 @@ from oracle_locc.netsim import (
     Connection,
     HandshakeMismatch,
     LocalityViolation,
+    MAX_ERROR_TEXT,
     MAX_FRAME_BYTES,
     ProtocolOrderError,
     QueueChannel,
@@ -193,6 +194,11 @@ class TestWireCodec:
             ("OP_REQUEST",
              '{"operation": "x", "targets": [], "matrix": [], "source": [0], "phases": []}'),
             ("ERROR", '{"code": "TRANSPORT"}'),
+            # Right keys, wrong types: code must be a known code, message a string.
+            ("ERROR", '{"code": [], "message": "x"}'),
+            ("ERROR", '{"code": "NOPE", "message": "x"}'),
+            ("ERROR", '{"code": "TRANSPORT", "message": 7}'),
+            ("ERROR", '{"code": "TRANSPORT", "message": null}'),
             ("HANDSHAKE", '{"role": "alice"}'),
             ("HANDSHAKE", '{"status": "ready", "extra": 1}'),
         ]
@@ -272,7 +278,6 @@ class TestChannelsAndConnection:
             "TRANSPORT": TransportError,
             "WIRE_FORMAT": WireFormatError,
             "HANDSHAKE_MISMATCH": HandshakeMismatch,
-            "SOMETHING_ELSE": RuntimeError,
         }
         for code, exc_type in expectations.items():
             left, right = QueueChannel.pair(1.0)
@@ -316,6 +321,16 @@ class TestChannelsAndConnection:
         Connection(left, "a").send("HANDSHAKE", {"status": "ready"})
         with pytest.raises(ProtocolOrderError, match="expected"):
             Connection(right, "b").recv(expect=("MEASURE_RESULT",))
+
+    def test_named_peer_error_is_its_failure(self):
+        # The name comes from the connection; the frame's sender field is ignored.
+        left, right = QueueChannel.pair(1.0)
+        conn = Connection(right, "referee")
+        conn.peer = "bob"
+        Connection(left, "alice").send("ERROR", {"code": "PROTOCOL_ORDER", "message": "boom"})
+        with pytest.raises(TransportError, match="^bob failed: ProtocolOrderError: boom$") as caught:
+            conn.wait_closed()
+        assert isinstance(caught.value.__cause__, ProtocolOrderError)
 
     def test_wait_closed(self):
         left, right = QueueChannel.pair(1.0)
@@ -620,6 +635,15 @@ class TestRefereeEnforcement:
         net.hello(net.bob)
         assert isinstance(net.referee_error(), HandshakeMismatch)
 
+    def test_error_before_the_hello_names_no_role(self):
+        # The frame's text claims a role; only a hello can give the connection one.
+        net = RefereeHarness(identity_table(2))
+        net.alice.send("ERROR", {"code": "TRANSPORT", "message": "bob failed: spoofed"})
+        net.hello(net.bob)
+        error = net.referee_error()
+        assert isinstance(error, TransportError)
+        assert str(error) == "a party failed: TransportError: bob failed: spoofed"
+
     def test_handshake_other_kind_instead_of_hello(self):
         net = RefereeHarness(identity_table(2))
         net.alice.send("MEASURE_REQUEST", {"subsystem": "a"})
@@ -658,7 +682,26 @@ class TestPartyFailure:
         with pytest.raises(TransportError, match="alice failed: WireFormatError") as caught:
             run_in_process(f, inp, 0)
         assert isinstance(caught.value.__cause__, WireFormatError)
-        assert "1 MiB cap" in str(caught.value)
+        assert "4096-byte cap" in str(caught.value)
+
+    def test_relayed_party_text_is_bounded(self):
+        # A well-formed ERROR whose message fills a whole frame: relayed whole
+        # behind "alice failed: ...", it would push the referee's own ERROR
+        # frame over the cap.
+        net = RefereeHarness(identity_table(2))
+        net.handshake()
+        empty = encode_wire(WireMessage(2, "alice", "ERROR", {"code": "WIRE_FORMAT", "message": ""}))
+        text = "x" * (MAX_FRAME_BYTES + 4 - len(empty))
+        net.alice.send("ERROR", {"code": "WIRE_FORMAT", "message": text})
+        error = net.referee_error()
+        assert isinstance(error, TransportError)
+        assert isinstance(error.__cause__, WireFormatError)
+        assert str(error).startswith("alice failed: WireFormatError: xxx")
+        assert len(str(error)) <= len("alice failed: WireFormatError: ") + MAX_ERROR_TEXT
+        for conn in (net.alice, net.bob):
+            with pytest.raises(TransportError, match="^alice failed: WireFormatError: x") as caught:
+                conn.recv()
+            assert len(str(caught.value)) <= MAX_ERROR_TEXT
 
 
 THREE_CYCLE = FunctionTable(3, 3, (1, 2, 0))
