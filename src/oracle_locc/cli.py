@@ -56,7 +56,7 @@ from .protocols import (
     send_bidirectional_all,
     send_forward,
 )
-from .quantum import operator_schmidt_rank, random_state
+from .quantum import operator_schmidt_rank, random_state, schmidt_values
 
 log = logging.getLogger("oracle_locc")
 
@@ -168,8 +168,10 @@ def _check_schmidt(tables) -> _Check:
         form = schmidt_decompose_oracle(f)
         rank_dev = abs(operator_schmidt_rank(U, f.M, f.N) - form.partition.n_values)
         rebuild_dev = np.max(np.abs(form.reconstruct() - U))
-        expected = np.sqrt([f.N * k for k in form.partition.sizes])
-        coeff_dev = np.max(np.abs(form.coefficients - expected))
+        numeric = schmidt_values(U, f.M, f.N)  # descending, min(M, N)^2 of them
+        closed = np.zeros_like(numeric)
+        closed[: form.rank] = np.sort(form.coefficients)[::-1]
+        coeff_dev = np.max(np.abs(numeric - closed))
         check.record(max(rank_dev, rebuild_dev, coeff_dev))
     return check
 

@@ -48,7 +48,6 @@ from .quantum import (
     entanglement_entropy,
     from_amps,
     measure_computational,
-    measurement_probabilities,
     reorder,
     von_neumann_entropy,
 )
@@ -199,9 +198,8 @@ def step1_operator(f: FunctionTable) -> LocalOperator:
     partition = build_partition(f)
     n = partition.n_values
     # |x, j> -> |x, j + k(x) mod n>, so row (x, j) reads column (x, j - k(x) mod n).
-    level = np.searchsorted(partition.values, f.table)
     x, j = np.divmod(np.arange(f.M * n), n)
-    source = x * n + (j - level[x]) % n
+    source = x * n + (j - partition.level[x]) % n
     return _permutation(("A", "a"), source)
 
 
@@ -232,9 +230,8 @@ def step7_operator(f: FunctionTable, s: int) -> LocalOperator:
     """Alice's phase correction on A: exp(-2 pi i k s / n_f) on level set k."""
     partition = build_partition(f)
     n = partition.n_values
-    phases = np.zeros(f.M, dtype=np.complex128)
-    for k, cls in enumerate(partition.classes):
-        phases[list(cls)] = np.exp(-2j * np.pi * k * s / n)
+    # One Python scalar per class, spread by level: dividing an array by n moves some angles by an ulp.
+    phases = np.array([np.exp(-2j * np.pi * k * s / n) for k in range(n)])[partition.level]
     return LocalOperator("A", source=np.arange(f.M), phases=phases)
 
 
@@ -446,16 +443,17 @@ def ab_substate(state: StateVector) -> StateVector:
 
     Raises if either ancilla is not (within tolerance) in a computational
     basis state, since then the A, B part is not a pure state on its own.
+    The ancillas' basis states |r>, |s> are read off the first nonzero
+    amplitude; then the [:, r, :, s] slice must carry the whole norm.
     """
     state = reorder(state, SUBSYSTEM_ORDER)
-    outcomes = []
-    for label in ("a", "b"):
-        probs = measurement_probabilities(state, label)
-        index = int(np.argmax(probs))
-        if abs(probs[index] - 1.0) > BASIS_STATE_TOL:
-            raise ValueError(f"ancilla {label} is not in a basis state (probs {probs})")
-        outcomes.append(index)
-    sliced = state.tensor_view()[:, outcomes[0], :, outcomes[1]]
+    amps = state.tensor_view()
+    first = next(row for row in amps if row.any())  # a normalized state has one
+    r, _, s = np.unravel_index(int(np.flatnonzero(first)[0]), first.shape)
+    sliced = amps[:, r, :, s]
+    weight = float(np.vdot(sliced, sliced).real)
+    if abs(weight - 1.0) > BASIS_STATE_TOL:
+        raise ValueError(f"ancillas are not in a basis state (weight {weight} at a = {r}, b = {s})")
     return from_amps(
         (state.dims[0], state.dims[2]), ("A", "B"), sliced.reshape(-1), normalize=True
     )

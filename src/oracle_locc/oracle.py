@@ -101,7 +101,8 @@ class Partition:
 
     values holds the distinct outputs in ascending order; classes[j] is the
     sorted tuple of inputs mapped to values[j]; sizes[j] its cardinality and
-    reps[j] its smallest element.
+    reps[j] its smallest element.  level is a read-only index array over the
+    domain: level[x] is the j with f(x) = values[j].
     """
 
     n_values: int
@@ -109,6 +110,7 @@ class Partition:
     classes: tuple[tuple[int, ...], ...]
     sizes: tuple[int, ...]
     reps: tuple[int, ...]
+    level: np.ndarray
 
 
 # One Partition per FunctionTable object.  Both are immutable, so sharing is
@@ -120,13 +122,14 @@ def build_partition(f: FunctionTable) -> Partition:
     """The level sets of f, built once per table object and then cached."""
     partition = _PARTITIONS.get(f)
     if partition is None:
-        values = sorted(set(f.table))
-        classes = tuple(
-            tuple(x for x in range(f.M) if f.table[x] == v) for v in values
-        )
-        sizes = tuple(len(c) for c in classes)
-        reps = tuple(c[0] for c in classes)
-        partition = Partition(len(values), tuple(values), classes, sizes, reps)
+        values, reps, level, sizes = np.unique(
+            f.table, return_index=True, return_inverse=True, return_counts=True)
+        level.setflags(write=False)
+        order = np.argsort(level, kind="stable").tolist()  # class by class, each ascending
+        ends, sizes = np.cumsum(sizes).tolist(), sizes.tolist()
+        classes = tuple(tuple(order[end - size:end]) for end, size in zip(ends, sizes))
+        partition = Partition(len(values), tuple(values.tolist()), classes,
+                              tuple(sizes), tuple(reps.tolist()), level)
         _PARTITIONS[f] = partition
     return partition
 
@@ -160,9 +163,9 @@ def oracle_matrix(f: FunctionTable) -> np.ndarray:
     if dim > MAX_DENSE_ORACLE_DIM:
         raise ValueError(f"dense oracle of dimension {dim} exceeds cap {MAX_DENSE_ORACLE_DIM}")
     U = np.zeros((dim, dim), dtype=np.complex128)
-    for x in range(f.M):
-        for y in range(f.N):
-            U[x * f.N + (y + f.table[x]) % f.N, x * f.N + y] = 1.0
+    # apply_oracle's gather: row (x, y) reads column (x, y - f(x) mod N).
+    x, y = np.divmod(np.arange(dim), f.N)
+    U[np.arange(dim), x * f.N + (y - np.array(f.table)[x]) % f.N] = 1.0
     return U
 
 
@@ -189,13 +192,11 @@ def phase_exponential(N: int, c: float) -> np.ndarray:
 
 def class_projectors(f: FunctionTable) -> list[np.ndarray]:
     """Orthogonal projectors onto the level sets of f, resolving the identity on Z_M."""
-    projectors = []
-    for cls in build_partition(f).classes:
-        P = np.zeros((f.M, f.M), dtype=np.complex128)
-        for x in cls:
-            P[x, x] = 1.0
-        projectors.append(P)
-    return projectors
+    partition = build_partition(f)
+    x = np.arange(f.M)
+    projectors = np.zeros((partition.n_values, f.M, f.M), dtype=np.complex128)
+    projectors[partition.level, x, x] = 1.0
+    return list(projectors)
 
 
 @dataclass(frozen=True, eq=False)
@@ -268,8 +269,7 @@ def minimal_oracle(f: FunctionTable) -> np.ndarray:
     if not f.is_permutation():
         raise ValueError("minimal oracle requires a permutation")
     Q = np.zeros((f.M, f.M), dtype=np.complex128)
-    for x in range(f.M):
-        Q[f.table[x], x] = 1.0
+    Q[list(f.table), np.arange(f.M)] = 1.0
     return Q
 
 

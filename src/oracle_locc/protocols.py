@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .oracle import FunctionTable, apply_oracle, build_partition, phase_states
+from .oracle import FunctionTable, apply_oracle, build_partition
 from .quantum import LocalOperator, StateVector, apply_local, entanglement_entropy, from_amps
 
 DECODE_TOL = 1e-10
@@ -98,8 +98,8 @@ def backward_decode_states(f: FunctionTable) -> np.ndarray:
     n = partition.n_values
     states = np.zeros((n, f.M), dtype=np.complex128)
     j = np.arange(n)
-    for s_prime in range(n):
-        states[s_prime, list(partition.reps)] = np.exp(2j * np.pi * j * s_prime / n) / np.sqrt(n)
+    s_prime = j[:, None]
+    states[:, list(partition.reps)] = np.exp((2j * np.pi * j) * s_prime / n) / np.sqrt(n)
     return states
 
 
@@ -133,8 +133,7 @@ def send_backward(f: FunctionTable, s: int) -> ProtocolResult:
     s = _check_message(s, partition.n_values, "s")
     n = partition.n_values
     amps = np.zeros((f.M, f.N), dtype=np.complex128)
-    for j in range(n):
-        amps[partition.reps[j], (f.N - partition.values[j]) % f.N] = 1.0 / np.sqrt(n)
+    amps[list(partition.reps), (f.N - np.array(partition.values)) % f.N] = 1.0 / np.sqrt(n)
     shared = from_amps((f.M, f.N), ("A", "B"), amps.reshape(-1))
     grading = LocalOperator("B", source=np.arange(f.N), phases=_grading_phases(f, s))
     graded = apply_local(shared, grading)
@@ -201,7 +200,7 @@ def _bidirectional(f: FunctionTable, r: int, messages) -> list[ProtocolResult]:
     final = apply_local(state, LocalOperator("B", source=(M + x) % M, phases=ones))
 
     finals = final.tensor_view() * np.sqrt(k)  # [s, x, y], each slice normalized
-    joint = phase_states(M).conj() @ finals  # [s, s', r'] amplitude
+    joint = np.fft.fft(finals, axis=1, norm="ortho")  # [s, s', r'] amplitude
     results = []
     for s, ab, amplitudes in zip(messages, finals, joint):
         probs = np.abs(amplitudes.T) ** 2  # [r', s']

@@ -54,6 +54,14 @@ def ref_oracle_matrix(f: FunctionTable) -> np.ndarray:
     return U
 
 
+def ref_minimal_oracle(f: FunctionTable) -> np.ndarray:
+    """Dense |x> -> |f(x)> on one register, one basis column at a time."""
+    Q = np.zeros((f.M, f.M), dtype=np.complex128)
+    for x in range(f.M):
+        Q[f.table[x], x] = 1.0
+    return Q
+
+
 def ref_partition(f: FunctionTable):
     """Level sets grouped with a dict; returns (values, classes) sorted."""
     groups: dict[int, list[int]] = {}

@@ -8,8 +8,16 @@ import sys
 import numpy as np
 import pytest
 
+from oracle_locc import cli as cli_module
 from oracle_locc.cli import _Check, main
 from oracle_locc.locc import OPERATOR_BUILDERS, step7_operator
+from oracle_locc.oracle import (
+    FunctionTable,
+    OracleSchmidtForm,
+    SchmidtTerm,
+    oracle_matrix,
+    schmidt_decompose_oracle,
+)
 from oracle_locc.quantum import LocalOperator
 
 from conftest import ROOT, cli_command, src_env
@@ -113,6 +121,23 @@ class TestVerify:
         failed = [c["name"] for c in json.loads(captured.out)["checks"] if not c["passed"]]
         assert failed == ["locc_branches_match_direct_oracle"]
         assert captured.err.startswith("verification failed: locc_branches_match_direct_oracle")
+
+    def test_wrong_schmidt_coefficients_fail_even_when_the_sum_is_right(self, monkeypatch):
+        # Doubled coefficients with halved control operators reconstruct U
+        # exactly; only the comparison with the numeric singular values sees it.
+        def doubled(f):
+            form = schmidt_decompose_oracle(f)
+            terms = tuple(SchmidtTerm(2 * t.coefficient, t.control_op / 2, t.target_op)
+                          for t in form.terms)
+            return OracleSchmidtForm(form.f, form.partition, terms)
+
+        f = FunctionTable(3, 3, (1, 2, 1))
+        assert cli_module._check_schmidt([f]).passed
+        monkeypatch.setattr(cli_module, "schmidt_decompose_oracle", doubled)
+        assert np.max(np.abs(doubled(f).reconstruct() - oracle_matrix(f))) <= 1e-12
+        check = cli_module._check_schmidt([f])
+        assert check.name == "schmidt_rank_and_reconstruction"
+        assert not check.passed
 
     def test_missing_table_file_is_a_usage_error(self, capsys, tmp_path):
         assert cli("verify", "--f", str(tmp_path / "absent.json")) == 2

@@ -201,6 +201,23 @@ class TestStepOperators:
             )
             assert_allclose(mat, expected, atol=1e-12)
 
+    def test_step1_and_step7_equal_the_per_class_construction(self, rng):
+        # Membership from searchsorted and a loop over the classes, not from
+        # Partition.level; the arrays must agree byte for byte.
+        tables = [random_table(rng, 9, 9) for _ in range(40)]
+        tables.append(FunctionTable(64, 64, tuple(int(v) for v in rng.permutation(64))))
+        for f in tables:
+            values, classes = ref_partition(f)
+            n = len(values)
+            level = np.searchsorted(values, f.table)
+            x, j = np.divmod(np.arange(f.M * n), n)
+            assert step1_operator(f).source.tobytes() == (x * n + (j - level[x]) % n).tobytes()
+            for s in range(n):
+                phases = np.zeros(f.M, dtype=np.complex128)
+                for k, cls in enumerate(classes):
+                    phases[cls] = np.exp(-2j * np.pi * k * s / n)
+                assert step7_operator(f, s).phases.tobytes() == phases.tobytes()
+
     def test_builder_registry_round_trip(self):
         f = FunctionTable(3, 2, (0, 1, 0))
         assert_allclose(
@@ -548,6 +565,26 @@ class TestAbSubstate:
         inp = random_state((2, 2), ("A", "B"), np.random.default_rng(0))
         with pytest.raises(ValueError, match="basis state"):
             ab_substate(initial_state(f, inp))
+
+    @pytest.mark.parametrize("spread", ["a", "b", "both"])
+    def test_rejects_an_ancilla_in_superposition(self, spread):
+        # A, B in a product state, so only the ancillas' own superposition
+        # keeps them out of a basis state.
+        anc = {"a": np.array([1.0, 0, 0]), "b": np.array([0, 1.0, 0])}
+        for label in ("a", "b") if spread == "both" else (spread,):
+            anc[label] = np.array([0.6, 0, 0.8])
+        amps = np.einsum("x,j,y,k->xjyk", [0, 1.0], anc["a"], [1.0, 0], anc["b"])
+        state = from_amps((2, 3, 2, 3), SUBSYSTEM_ORDER, amps.reshape(-1))
+        with pytest.raises(ValueError, match="not in a basis state"):
+            ab_substate(state)
+
+    def test_returns_the_slice_of_the_ancillas_basis_states(self):
+        f = FunctionTable(3, 3, (2, 0, 2))
+        inp = random_state((3, 3), ("A", "B"), np.random.default_rng(5))
+        final, transcript, _ = run_locc(f, inp, 4)
+        sliced = final.tensor_view()[:, transcript.r, :, transcript.s]
+        expected = from_amps((3, 3), ("A", "B"), sliced.reshape(-1), normalize=True)
+        assert ab_substate(final).amps.tobytes() == expected.amps.tobytes()
 
     def test_tolerance_is_tight(self):
         assert BASIS_STATE_TOL == 1e-10

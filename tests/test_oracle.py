@@ -1,6 +1,7 @@
 """Function tables, partitions, oracle matrices, phase algebra, Schmidt form."""
 
 import gc
+import json
 import weakref
 
 import numpy as np
@@ -30,6 +31,7 @@ from conftest import (
     exhaustive_tables,
     random_table,
     ref_global_apply,
+    ref_minimal_oracle,
     ref_oracle_matrix,
     ref_partition,
     shift_matrix,
@@ -110,6 +112,19 @@ class TestPartition:
         assert list(partition.reps) == [min(c) for c in ref_classes]
 
     @given(tables_strategy)
+    @settings(max_examples=80, deadline=None)
+    def test_level_is_read_only_class_membership(self, f):
+        partition = build_partition(f)
+        _, ref_classes = ref_partition(f)
+        membership = {x: j for j, cls in enumerate(ref_classes) for x in cls}
+        assert partition.level.tolist() == [membership[x] for x in range(f.M)]
+        with pytest.raises(ValueError, match="read-only"):
+            partition.level[0] = 0
+        # Every other field is Python ints, so reports built from it serialise.
+        json.dumps([partition.n_values, partition.values, partition.classes,
+                    partition.sizes, partition.reps])
+
+    @given(tables_strategy)
     @settings(max_examples=50, deadline=None)
     def test_classes_partition_the_domain(self, f):
         partition = build_partition(f)
@@ -126,6 +141,7 @@ class TestPartition:
             assert fresh is not partition
             for field in ("n_values", "values", "classes", "sizes", "reps"):
                 assert getattr(fresh, field) == getattr(partition, field)
+            assert np.array_equal(fresh.level, partition.level)
 
     def test_partition_cache_keeps_no_table_alive(self):
         f = FunctionTable(3, 2, (1, 0, 1))
@@ -150,11 +166,20 @@ class TestPartition:
         for P in projectors:
             assert_allclose(P @ P, P, atol=0)
 
+    def test_projectors_match_reference_classes(self, rng):
+        for f in [random_table(rng, 8, 8) for _ in range(30)] + list(exhaustive_tables(3, 3)):
+            _, ref_classes = ref_partition(f)
+            projectors = class_projectors(f)
+            assert len(projectors) == len(ref_classes)
+            for P, cls in zip(projectors, ref_classes):
+                expected = np.diag([1.0 if x in cls else 0.0 for x in range(f.M)]).astype(np.complex128)
+                assert P.tobytes() == expected.tobytes()
+
 
 class TestOracleMatrix:
-    def test_exhaustive_small_matches_reference(self):
-        for f in exhaustive_tables(3, 3):
-            assert_allclose(oracle_matrix(f), ref_oracle_matrix(f), atol=0)
+    def test_exhaustive_small_matches_reference(self, rng):
+        for f in list(exhaustive_tables(3, 3)) + [random_table(rng, 8, 8) for _ in range(20)]:
+            assert oracle_matrix(f).tobytes() == ref_oracle_matrix(f).tobytes()
 
     def test_is_permutation_matrix(self):
         for f in exhaustive_tables(3, 3):
@@ -323,6 +348,11 @@ class TestMinimalOracle:
     def test_requires_permutation(self):
         with pytest.raises(ValueError, match="permutation"):
             minimal_oracle(FunctionTable(2, 2, (0, 0)))
+
+    def test_matches_reference(self, rng):
+        perms = [FunctionTable(9, 9, tuple(int(v) for v in rng.permutation(9))) for _ in range(10)]
+        for f in list(exhaustive_permutations(4)) + perms:
+            assert minimal_oracle(f).tobytes() == ref_minimal_oracle(f).tobytes()
 
     def test_dressing_identity_all_small_permutations(self):
         for f in exhaustive_permutations(4):

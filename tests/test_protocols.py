@@ -149,6 +149,16 @@ class TestBackward:
             gram = states @ states.conj().T
             assert_allclose(gram, np.eye(states.shape[0]), atol=1e-12)
 
+    def test_decode_family_equals_the_per_row_construction(self, rng):
+        for f in [random_table(rng, 9, 9) for _ in range(60)] + list(exhaustive_tables(3, 3)):
+            reps = list(build_partition(f).reps)
+            n = len(reps)
+            expected = np.zeros((n, f.M), dtype=np.complex128)
+            j = np.arange(n)
+            for s_prime in range(n):
+                expected[s_prime, reps] = np.exp(2j * np.pi * j * s_prime / n) / np.sqrt(n)
+            assert backward_decode_states(f).tobytes() == expected.tobytes()
+
     def test_grading_unitary_is_diagonal_unitary(self):
         f = FunctionTable(3, 4, (1, 3, 1))
         G = np.diag(_grading_phases(f, 1))
