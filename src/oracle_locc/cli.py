@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .locc import run_locc, run_locc_deferred
+from .locc import ab_substate, apply_deferred, deferred_operators, run_locc
 from .netsim import (
     DEFAULT_TIMEOUT,
     HandshakeMismatch,
@@ -56,7 +56,7 @@ from .protocols import (
     send_bidirectional_all,
     send_forward,
 )
-from .quantum import operator_schmidt_rank, random_state, schmidt_values
+from .quantum import fidelity, operator_schmidt_rank, random_state, schmidt_rank, schmidt_values
 
 log = logging.getLogger("oracle_locc")
 
@@ -149,66 +149,45 @@ def _sweep_tables(max_m: int, max_n: int, trials: int, rng: np.random.Generator)
     return tables
 
 
-def _check_oracle_structure(tables) -> _Check:
-    check = _Check("oracle_matrix_is_permutation_unitary")
+def _decode_deviation(result, expected) -> float:
+    """|1 - p(expected)| for a protocol result, or 1 if it decoded anything else."""
+    dev = abs(result.outcome_probabilities[expected] - 1.0)
+    return dev if result.decoded == expected else max(dev, 1.0)
+
+
+def _check_tables(tables) -> list[_Check]:
+    """Five per-table checks in one pass: each table's U, SVD and decode states are built once."""
+    structure = _Check("oracle_matrix_is_permutation_unitary")
+    schmidt = _Check("schmidt_rank_and_reconstruction")
+    entangle = _Check("entangle_ebits_equal_log2_n_f")
+    forward = _Check("forward_protocol_decodes_exactly")
+    backward = _Check("backward_protocol_decodes_exactly")
     for f in tables:
+        n = build_partition(f).n_values
         U = oracle_matrix(f)
-        dim = f.M * f.N
-        unitary_dev = np.max(np.abs(U.conj().T @ U - np.eye(dim)))
+        unitary_dev = np.max(np.abs(U.conj().T @ U - np.eye(f.M * f.N)))
         entry_dev = np.max(np.abs(U * (1 - U)))  # entries are 0 or 1
         sum_dev = max(np.max(np.abs(U.sum(axis=0) - 1)), np.max(np.abs(U.sum(axis=1) - 1)))
-        check.record(max(unitary_dev, entry_dev, sum_dev))
-    return check
+        structure.record(max(unitary_dev, entry_dev, sum_dev))
 
-
-def _check_schmidt(tables) -> _Check:
-    check = _Check("schmidt_rank_and_reconstruction")
-    for f in tables:
-        U = oracle_matrix(f)
         form = schmidt_decompose_oracle(f)
-        rank_dev = abs(operator_schmidt_rank(U, f.M, f.N) - form.partition.n_values)
-        rebuild_dev = np.max(np.abs(form.reconstruct() - U))
         numeric = schmidt_values(U, f.M, f.N)  # descending, min(M, N)^2 of them
         closed = np.zeros_like(numeric)
         closed[: form.rank] = np.sort(form.coefficients)[::-1]
-        coeff_dev = np.max(np.abs(numeric - closed))
-        check.record(max(rank_dev, rebuild_dev, coeff_dev))
-    return check
+        rank_dev = abs(schmidt_rank(numeric) - form.partition.n_values)
+        rebuild_dev = np.max(np.abs(form.reconstruct() - U))
+        schmidt.record(max(rank_dev, rebuild_dev, np.max(np.abs(numeric - closed))))
 
-
-def _check_entangle(tables) -> _Check:
-    check = _Check("entangle_ebits_equal_log2_n_f")
-    for f in tables:
         _, ebits = entangle_protocol(f)
-        check.record(abs(ebits - np.log2(build_partition(f).n_values)))
-    return check
-
-
-def _check_forward(tables) -> _Check:
-    check = _Check("forward_protocol_decodes_exactly")
-    for f in tables:
-        for r in range(build_partition(f).n_values):
-            result = send_forward(f, r)
-            dev = abs(result.outcome_probabilities[r] - 1.0)
-            if result.decoded != r:
-                dev = max(dev, 1.0)
-            check.record(dev)
-    return check
-
-
-def _check_backward(tables) -> _Check:
-    check = _Check("backward_protocol_decodes_exactly")
-    for f in tables:
+        entangle.record(abs(ebits - np.log2(n)))
+        for r in range(n):
+            forward.record(_decode_deviation(send_forward(f, r), r))
         decode = backward_decode_states(f)
-        gram_dev = np.max(np.abs(decode @ decode.conj().T - np.eye(decode.shape[0])))
-        check.record(gram_dev)
-        for s in range(build_partition(f).n_values):
+        backward.record(np.max(np.abs(decode @ decode.conj().T - np.eye(decode.shape[0]))))
+        for s in range(n):
             result = send_backward(f, s)
-            dev = max(abs(result.outcome_probabilities[s] - 1.0), result.outcome_probabilities[-1])
-            if result.decoded != s:
-                dev = max(dev, 1.0)
-            check.record(dev)
-    return check
+            backward.record(max(_decode_deviation(result, s), result.outcome_probabilities[-1]))
+    return [structure, schmidt, entangle, forward, backward]
 
 
 def _check_bidirectional(max_degree: int) -> _Check:
@@ -216,26 +195,25 @@ def _check_bidirectional(max_degree: int) -> _Check:
     for f in all_permutations(max_degree):
         for r in range(f.M):
             for s, result in enumerate(send_bidirectional_all(f, r)):
-                dev = abs(result.outcome_probabilities[r, s] - 1.0)
-                if result.decoded != (r, s):
-                    dev = max(dev, 1.0)
-                check.record(dev)
+                check.record(_decode_deviation(result, (r, s)))
     return check
 
 
 def _check_locc(tables, inputs_per_table: int, rng: np.random.Generator) -> _Check:
-    """Every (r, s) branch, as slice [:, r, :, s] of one run_locc_deferred walk per input.
+    """Every (r, s) branch, as slice [:, r, :, s] of one deferred walk per input.
 
-    The branch probability is the slice's weight, and its fidelity with the
-    direct oracle action is |<expected|slice>|^2 / weight.
+    Each table's deferred operators are built once and walk every input's
+    [x, r, y, s] amplitudes.  The branch probability is the slice's weight,
+    and its fidelity with the direct oracle action is |<expected|slice>|^2 / weight.
     """
     check = _Check("locc_branches_match_direct_oracle")
     for f in tables:
         n = build_partition(f).n_values
+        operators = deferred_operators(f)
         for _ in range(inputs_per_table):
             state = random_state((f.M, f.N), ("A", "B"), rng)
             expected = apply_oracle(f, state).tensor_view()
-            branches = run_locc_deferred(f, state).tensor_view()  # [x, r, y, s]
+            branches = apply_deferred(f, state, operators).tensor_view()
             weights = np.einsum("xrys,xrys->rs", branches.conj(), branches).real
             overlaps = np.einsum("xy,xrys->rs", expected.conj(), branches)
             fid_dev = 1.0 - np.abs(overlaps) ** 2 / weights
@@ -245,17 +223,17 @@ def _check_locc(tables, inputs_per_table: int, rng: np.random.Generator) -> _Che
 
 
 def _check_ledger(tables, rng: np.random.Generator) -> _Check:
+    """The ledger of one sampled run_locc per table, and that run's final A, B state."""
     check = _Check("resource_ledger_accounting")
     for f in tables:
         n = build_partition(f).n_values
         state = random_state((f.M, f.N), ("A", "B"), rng)
-        _, _, ledger = run_locc(f, state, int(rng.integers(1 << 31)))
-        dev = abs(ledger.ebits_consumed - np.log2(n))
-        dev = max(dev, abs(ledger.bits_forward_info - np.log2(n)))
-        dev = max(dev, abs(ledger.bits_backward_info - np.log2(n)))
-        dev = max(dev, abs(ledger.bits_forward_wire - (n - 1).bit_length()))
-        dev = max(dev, abs(ledger.bits_backward_wire - (n - 1).bit_length()))
-        check.record(dev)
+        final, _, ledger = run_locc(f, state, int(rng.integers(1 << 31)))
+        info, wire = np.log2(n), (n - 1).bit_length()
+        dev = 1.0 - fidelity(ab_substate(final), apply_oracle(f, state))
+        dev = max(dev, abs(ledger.ebits_consumed - info), abs(ledger.bits_forward_info - info))
+        dev = max(dev, abs(ledger.bits_backward_info - info), abs(ledger.bits_forward_wire - wire))
+        check.record(max(dev, abs(ledger.bits_backward_wire - wire)))
     return check
 
 
@@ -290,11 +268,7 @@ def cmd_verify(args) -> int:
         tables = _sweep_tables(args.max_m, args.max_n, args.trials, rng)
     log.info("verifying %d function tables", len(tables))
     checks = [
-        _check_oracle_structure(tables),
-        _check_schmidt(tables),
-        _check_entangle(tables),
-        _check_forward(tables),
-        _check_backward(tables),
+        *_check_tables(tables),
         _check_bidirectional(min(args.max_m, 4) if args.f is None else 3),
         _check_locc(tables, inputs_per_table=2, rng=rng),
         _check_ledger(tables, rng),
@@ -353,42 +327,33 @@ def _seeded_input(f: FunctionTable, seed: int):
 
 def cmd_run(args) -> int:
     f = load_function_table(args.f)
-    if args.transport == "socket":
-        raise CliError("socket transport uses the serve/connect subcommands")
     if args.protocol == "locc":
         state = _seeded_input(f, args.seed)
         _, transcript = run_in_process(f, state, args.seed)
         emit(transcript.to_json(), args.out)
         return EXIT_OK
 
-    partition = build_partition(f)
     rng = np.random.default_rng(args.seed)
     result = {"protocol": args.protocol, "f": f.to_json_dict(), "seed": args.seed}
     if args.protocol == "entangle":
-        _, ebits = entangle_protocol(f)
-        result["ebits"] = ebits
-    elif args.protocol == "forward":
-        r = int(rng.integers(partition.n_values))
-        outcome = send_forward(f, r)
-        result.update(r=r, decoded=outcome.decoded, success=outcome.success,
-                      probabilities=[float(p) for p in outcome.outcome_probabilities])
+        _, result["ebits"] = entangle_protocol(f)
+        emit(result, args.out)
+        return EXIT_OK
+    if args.protocol == "forward":
+        result["r"] = int(rng.integers(build_partition(f).n_values))
+        outcome = send_forward(f, result["r"])
     elif args.protocol == "backward":
-        s = int(rng.integers(partition.n_values))
-        outcome = send_backward(f, s)
-        result.update(s=s, decoded=outcome.decoded, success=outcome.success,
-                      probabilities=[float(p) for p in outcome.outcome_probabilities])
-    elif args.protocol == "bidirectional":
+        result["s"] = int(rng.integers(build_partition(f).n_values))
+        outcome = send_backward(f, result["s"])
+    else:
         if not f.is_permutation():
             raise CliError("bidirectional protocol requires a permutation (M = N, all values distinct)")
-        r = int(rng.integers(f.M))
-        s = int(rng.integers(f.M))
-        outcome = send_bidirectional(f, r, s)
-        result.update(r=r, s=s, decoded=list(outcome.decoded), success=outcome.success,
-                      probabilities=[[float(p) for p in row] for row in outcome.outcome_probabilities])
-    else:
-        raise CliError(f"unknown protocol {args.protocol!r}")
+        result.update(r=int(rng.integers(f.M)), s=int(rng.integers(f.M)))
+        outcome = send_bidirectional(f, result["r"], result["s"])
+    result.update(decoded=outcome.decoded, success=outcome.success,
+                  probabilities=outcome.outcome_probabilities.tolist())
     emit(result, args.out)
-    return EXIT_OK if result.get("success", True) else EXIT_VERIFY_FAILED
+    return EXIT_OK if outcome.success else EXIT_VERIFY_FAILED
 
 
 def cmd_serve(args) -> int:
@@ -442,7 +407,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--protocol", default="locc",
                      choices=["locc", "entangle", "forward", "backward", "bidirectional"])
-    run.add_argument("--transport", default="in-process", choices=["in-process", "socket"])
     run.add_argument("--out")
     run.set_defaults(handler=cmd_run)
 

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
+from functools import reduce
 from typing import Callable
 
 import numpy as np
@@ -389,33 +390,44 @@ def run_locc(
     return state, transcript, transcript.ledger
 
 
-def run_locc_deferred(f: FunctionTable, input_state: StateVector) -> StateVector:
-    """The (A, a, B, b) state after the script with both measurements deferred.
+def deferred_operators(f: FunctionTable) -> list[LocalOperator]:
+    """The script's operators, in order, with both measurements deferred.
 
     The measure steps are skipped, so each measured ancilla keeps its
-    dimension, and a step that depends on an outcome is applied controlled
+    dimension, and a step that depends on an outcome becomes one controlled
     on that ancilla (Nielsen & Chuang, section 4.4): one monomial operator
     on (ancilla, *targets) stacks build_step_operator(f, operation, v) for
-    every value v of the ancilla.  Slice [:, r, :, s] of the result is the
-    final A, B state of branch (r, s) times the square root of that
-    branch's probability.
+    every value v of the ancilla.  None depends on the input.
     """
-    state = initial_state(f, input_state)
-    n = state.dim_of("a")
+    n = build_partition(f).n_values
     measured: dict[str, str] = {}  # classical value -> the ancilla it is read from
+    operators = []
     for step in build_locc_script(f):
         if step.action == "measure":
             measured[step.value] = step.targets[0]
         elif step.action == "apply" and step.depends_on is None:
-            state = apply_local(state, build_step_operator(f, step.operation))
+            operators.append(build_step_operator(f, step.operation))
         elif step.action == "apply":
             ops = [build_step_operator(f, step.operation, v) for v in range(n)]
-            state = apply_local(state, LocalOperator(
+            operators.append(LocalOperator(
                 (measured[step.depends_on], *step.targets),
                 source=np.concatenate([v * op.dim + op.source for v, op in enumerate(ops)]),
                 phases=np.concatenate([op.phases for op in ops]),
             ))
-    return state
+    return operators
+
+
+def apply_deferred(f: FunctionTable, input_state: StateVector, ops: list[LocalOperator]) -> StateVector:
+    """The (A, a, B, b) state after ops, f's deferred_operators, act on initial_state in order.
+
+    Slice [:, r, :, s] is branch (r, s)'s final A, B state times the root of its probability.
+    """
+    return reduce(apply_local, ops, initial_state(f, input_state))
+
+
+def run_locc_deferred(f: FunctionTable, input_state: StateVector) -> StateVector:
+    """Every (r, s) branch of one input at once: apply_deferred with f's deferred_operators."""
+    return apply_deferred(f, input_state, deferred_operators(f))
 
 
 def run_locc_all_branches(f: FunctionTable, input_state: StateVector) -> list[BranchResult]:

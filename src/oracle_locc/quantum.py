@@ -434,7 +434,11 @@ def operator_schmidt_rank(U: np.ndarray, dim_a: int, dim_b: int) -> int:
     dev = np.max(np.abs(U.conj().T @ U - np.eye(U.shape[0])))
     if not dev <= UNITARY_TOL:
         raise ValueError(f"operator is not unitary (max deviation {dev:.3e})")
-    values = schmidt_values(U, dim_a, dim_b)
+    return schmidt_rank(schmidt_values(U, dim_a, dim_b))
+
+
+def schmidt_rank(values: np.ndarray) -> int:
+    """Count of descending Schmidt values above SCHMIDT_RANK_REL_CUTOFF times the largest."""
     if values[0] == 0.0:
         return 0
     return int(np.count_nonzero(values > SCHMIDT_RANK_REL_CUTOFF * values[0]))

@@ -4,17 +4,20 @@ import importlib
 import json
 import subprocess
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from oracle_locc import cli as cli_module
+from oracle_locc import locc, oracle, quantum
 from oracle_locc.cli import _Check, main
 from oracle_locc.locc import OPERATOR_BUILDERS, step7_operator
 from oracle_locc.oracle import (
     FunctionTable,
     OracleSchmidtForm,
     SchmidtTerm,
+    build_partition,
     oracle_matrix,
     schmidt_decompose_oracle,
 )
@@ -36,12 +39,15 @@ LOW_FRAME_CAP_CLI = (
 )
 PERMUTATION24 = json.dumps({"M": 24, "N": 24, "table": [(x + 1) % 24 for x in range(24)]})
 
-CHECK_NAMES = {
+PER_TABLE_CHECKS = [
     "oracle_matrix_is_permutation_unitary",
     "schmidt_rank_and_reconstruction",
     "entangle_ebits_equal_log2_n_f",
     "forward_protocol_decodes_exactly",
     "backward_protocol_decodes_exactly",
+]
+CHECK_NAMES = {
+    *PER_TABLE_CHECKS,
     "bidirectional_protocol_decodes_exactly",
     "locc_branches_match_direct_oracle",
     "resource_ledger_accounting",
@@ -110,7 +116,7 @@ class TestVerify:
     def test_wrong_step7_sign_fails_the_branch_check(self, monkeypatch, capsys):
         # The branch check must run the scripted builders.  A wrong sign is
         # invisible while n_f <= 2, where exp(i pi) = exp(-i pi), so the bounds
-        # reach n_f = 3.
+        # reach n_f = 3.  The ledger check's sampled runs end in a wrong state too.
         def wrong_sign(f, s):
             op = step7_operator(f, s)
             return LocalOperator("A", source=op.source, phases=op.phases.conj())
@@ -119,7 +125,7 @@ class TestVerify:
         assert cli("verify", "--max-m", "3", "--max-n", "3") == 1
         captured = capsys.readouterr()
         failed = [c["name"] for c in json.loads(captured.out)["checks"] if not c["passed"]]
-        assert failed == ["locc_branches_match_direct_oracle"]
+        assert failed == ["locc_branches_match_direct_oracle", "resource_ledger_accounting"]
         assert captured.err.startswith("verification failed: locc_branches_match_direct_oracle")
 
     def test_wrong_schmidt_coefficients_fail_even_when_the_sum_is_right(self, monkeypatch):
@@ -131,13 +137,62 @@ class TestVerify:
                           for t in form.terms)
             return OracleSchmidtForm(form.f, form.partition, terms)
 
+        def schmidt_check(tables):
+            checks = cli_module._check_tables(tables)
+            return next(c for c in checks if c.name == "schmidt_rank_and_reconstruction")
+
         f = FunctionTable(3, 3, (1, 2, 1))
-        assert cli_module._check_schmidt([f]).passed
+        assert schmidt_check([f]).passed
         monkeypatch.setattr(cli_module, "schmidt_decompose_oracle", doubled)
         assert np.max(np.abs(doubled(f).reconstruct() - oracle_matrix(f))) <= 1e-12
-        check = cli_module._check_schmidt([f])
+        check = schmidt_check([f])
         assert check.name == "schmidt_rank_and_reconstruction"
         assert not check.passed
+
+    def test_per_table_pass_builds_each_oracle_and_svd_once(self, monkeypatch):
+        # Counted at every binding, so a call from inside the library counts too.
+        counts = Counter()
+
+        def counted(name, function):
+            def wrapper(*args):
+                counts[name] += 1
+                return function(*args)
+            return wrapper
+
+        for module, name in ((oracle, "oracle_matrix"), (quantum, "schmidt_values")):
+            wrapper = counted(name, getattr(module, name))
+            monkeypatch.setattr(module, name, wrapper)
+            monkeypatch.setattr(cli_module, name, wrapper)
+        tables = cli_module._sweep_tables(4, 4, 12, np.random.default_rng(5))
+        checks = cli_module._check_tables(tables)
+        assert [c.name for c in checks] == PER_TABLE_CHECKS
+        assert all(c.passed for c in checks)
+        assert counts == {"oracle_matrix": len(tables), "schmidt_values": len(tables)}
+
+    def test_branch_check_builds_each_tables_operators_once(self, monkeypatch):
+        # Steps 1, 4 and 5 once, steps 3 and 7 once per ancilla value, for both inputs.
+        calls = []
+        for name, builder in list(OPERATOR_BUILDERS.items()):
+            def counted(*args, _builder=builder):
+                calls.append(args)
+                return _builder(*args)
+            monkeypatch.setitem(OPERATOR_BUILDERS, name, counted)
+        rng = np.random.default_rng(8)
+        for f in cli_module._sweep_tables(4, 4, 12, np.random.default_rng(6)):
+            calls.clear()
+            assert cli_module._check_locc([f], inputs_per_table=2, rng=rng).passed
+            assert len(calls) == 3 + 2 * build_partition(f).n_values
+
+    def test_wrong_final_state_fails_the_ledger_check(self, monkeypatch, capsys):
+        # The sampled run's final A, B state, which the branch check never sees,
+        # must equal the direct oracle action.
+        with_ancillas = locc._with_ancillas
+        monkeypatch.setattr(locc, "_with_ancillas",
+                            lambda ab, n, r, s: with_ancillas(ab.conj(), n, r, s))
+        assert cli("verify", "--seed", "3") == 1
+        captured = capsys.readouterr()
+        failed = [c["name"] for c in json.loads(captured.out)["checks"] if not c["passed"]]
+        assert failed == ["resource_ledger_accounting"]
 
     def test_missing_table_file_is_a_usage_error(self, capsys, tmp_path):
         assert cli("verify", "--f", str(tmp_path / "absent.json")) == 2
@@ -246,9 +301,20 @@ class TestRun:
         assert cli("run", "--protocol", "bidirectional", "--f", NON_PERM) == 2
         assert "permutation" in capsys.readouterr().err
 
-    def test_socket_transport_is_not_a_run_mode(self, capsys):
+    def test_transport_is_an_argparse_usage_error(self, capsys):
         assert cli("run", "--transport", "socket", "--f", IDENTITY2) == 2
-        assert "serve/connect" in capsys.readouterr().err
+        assert "unrecognized arguments: --transport" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("protocol, sent", [
+        ("forward", ["r"]), ("backward", ["s"]), ("bidirectional", ["r", "s"]),
+    ])
+    def test_message_protocols_share_one_result_shape(self, capsys, protocol, sent):
+        assert cli("run", "--protocol", protocol, "--f", THREE_CYCLE, "--seed", "4") == 0
+        report = json.loads(capsys.readouterr().out)
+        assert list(report) == ["protocol", "f", "seed", *sent, "decoded", "success",
+                                "probabilities"]
+        assert report["decoded"] == (report[sent[0]] if len(sent) == 1 else
+                                     [report["r"], report["s"]])
 
     def test_unknown_protocol_is_an_argparse_error(self, capsys):
         assert cli("run", "--protocol", "telepathy", "--f", IDENTITY2) == 2

@@ -15,6 +15,7 @@ from oracle_locc.locc import (
     authorized,
     build_locc_script,
     build_step_operator,
+    deferred_operators,
     execute_script,
     initial_state,
     make_ledger,
@@ -434,6 +435,21 @@ class TestAllBranches:
                 expected[:, r, :, s] = state.tensor_view()[:, 0, :, 0]
                 assert b.final_state.dims == expected.shape
                 assert_allclose(b.final_state.tensor_view(), expected, rtol=0, atol=1e-12)
+
+    def test_deferred_operators_stack_each_outcomes_operator(self):
+        f = FunctionTable(4, 3, (2, 0, 2, 1))  # n_f = 3
+        step1, step3, step4, step5, step7 = deferred_operators(f)
+        assert [op.target_labels for op in (step1, step3, step4, step5, step7)] == [
+            ("A", "a"), ("a", "b"), ("B", "b"), ("b",), ("b", "A")]
+        for plain, built in ((step1, step1_operator(f)), (step4, step4_operator(f)),
+                             (step5, step5_operator(f))):
+            assert plain.matrix.tobytes() == built.matrix.tobytes()
+        for controlled, builder, d in ((step3, step3_operator, 3), (step7, step7_operator, 4)):
+            for v in range(3):
+                block = builder(f, v)
+                rows = slice(v * d, (v + 1) * d)
+                assert np.array_equal(controlled.source[rows] - v * d, block.source)
+                assert controlled.phases[rows].tobytes() == block.phases.tobytes()
 
     def test_deferred_walk_keeps_every_branch_scaled_by_its_amplitude(self):
         f = FunctionTable(4, 3, (2, 0, 2, 1))  # n_f = 3

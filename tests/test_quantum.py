@@ -23,6 +23,7 @@ from oracle_locc.quantum import (
     random_state,
     realign,
     reorder,
+    schmidt_rank,
     schmidt_values,
     tensor,
 )
@@ -516,6 +517,13 @@ class TestOperatorSchmidt:
         U = random_unitary(6, rng)
         values = schmidt_values(U, 2, 3)
         assert abs(np.sum(values**2) - 6.0) <= 1e-9
+
+    def test_rank_counts_values_above_the_relative_cutoff(self, rng):
+        U = random_unitary(6, rng)
+        assert schmidt_rank(schmidt_values(U, 2, 3)) == operator_schmidt_rank(U, 2, 3) == 4
+        assert schmidt_rank(np.array([1e-20, 1e-31, 0.0])) == 1  # scale-free
+        assert schmidt_rank(np.array([1.0, 0.5e-10])) == 1
+        assert schmidt_rank(np.zeros(4)) == 0
 
     def test_rank_rejects_non_unitary(self):
         with pytest.raises(ValueError, match="not unitary"):

@@ -16,7 +16,10 @@ also runs the capacity protocols: send_bidirectional on every permutation
 with M <= 4 for every (r, s), and send_forward (every r), send_backward
 (every s) and entangle_protocol on every table with M, N <= 3.  For each
 run it keeps the decoded value and success flag (the ebits, for
-entangle_protocol) and the final amplitudes.
+entangle_protocol) and the final amplitudes.  Last, it keeps the exit code
+and JSON report of `verify --seed 3` at the default bounds and at
+`--max-m 5 --max-n 5 --trials 40`, and of `capacities` on an 8 x 8 and a
+32 x 32 permutation and a 6 x 5 table that is not one.
 
 `compare` prints how many transcripts differ in each top-level field and
 each ledger field, with the largest difference of each ledger field in
@@ -29,12 +32,17 @@ anywhere, if run_in_process matched run_locc in BEFORE and no longer does
 in AFTER, or if a protocol's decoded value or success flag differs.  It
 prints the frame digest of each sender and the frame count of each kind,
 before and after, but does not fail on them, since a change of the wire
-bytes can be intended.
+bytes can be intended.  It prints every check whose max_deviation differs
+between the two `verify` reports, and exits 1 if an exit code, a check
+name, its cases or passed flag, another report field, or any `capacities`
+field differs.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 import sys
@@ -45,13 +53,22 @@ from itertools import permutations, product
 SEED = 2024
 TABLES = 105
 RUN_SEEDS = range(4)
+VERIFY_ARGS = {
+    "default": ["--seed", "3"],
+    "5x5": ["--seed", "3", "--max-m", "5", "--max-n", "5", "--trials", "40"],
+}
+CAPACITY_TABLES = {
+    "permutation 8x8": {"M": 8, "N": 8, "table": [(3 * x + 1) % 8 for x in range(8)]},
+    "permutation 32x32": {"M": 32, "N": 32, "table": [(5 * x + 3) % 32 for x in range(32)]},
+    "6x5": {"M": 6, "N": 5, "table": [x * x % 5 for x in range(6)]},
+}
 
 
 def record(src: str, out_path: str) -> None:
     sys.path.insert(0, src)
     import numpy as np
 
-    from oracle_locc import locc, netsim, protocols, quantum
+    from oracle_locc import cli, locc, netsim, protocols, quantum
     from oracle_locc.oracle import FunctionTable, build_partition
 
     frames, kinds, lock = {}, Counter(), threading.Lock()
@@ -104,15 +121,27 @@ def record(src: str, out_path: str) -> None:
                 runs["backward"].append(outcome(protocols.send_backward(f, message)))
             final, ebits = protocols.entangle_protocol(f)
             runs["entangle"].append({"ebits": ebits, "amps": amplitudes(final)})
+
+    def cli_report(*argv) -> dict:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(list(argv))
+        return {"exit": code, "report": json.loads(out.getvalue())}
+
+    verify = {name: cli_report("verify", *args) for name, args in VERIFY_ARGS.items()}
+    capacities = {name: cli_report("capacities", "--f", json.dumps(table))
+                  for name, table in CAPACITY_TABLES.items()}
     result = {"transcripts": transcripts, "amps": amps.hexdigest()[:16],
               "in_process_same": in_process_same, "protocols": runs,
               "frames": {sender: h.hexdigest()[:16] for sender, h in sorted(frames.items())},
-              "frame_kinds": dict(sorted(kinds.items()))}
+              "frame_kinds": dict(sorted(kinds.items())),
+              "verify": verify, "capacities": capacities}
     with open(out_path, "w") as fh:
         json.dump(result, fh)
     print(f"{len(transcripts)} transcripts; amps {result['amps']}; "
           f"run_in_process identical: {in_process_same}; {sum(kinds.values())} frames; "
-          "protocol runs: " + ", ".join(f"{name} {len(entries)}" for name, entries in runs.items()))
+          "protocol runs: " + ", ".join(f"{name} {len(entries)}" for name, entries in runs.items())
+          + f"; verify reports {len(verify)}; capacities reports {len(capacities)}")
 
 
 def compare(before_path: str, after_path: str) -> int:
@@ -149,7 +178,9 @@ def compare(before_path: str, after_path: str) -> int:
             print(f"frames {name}: {old.get(name)} -> {new.get(name)}")
     lost_in_process = before["in_process_same"] and not after["in_process_same"]
     protocols_differ = compare_protocols(before["protocols"], after["protocols"])
-    return 1 if differs["r"] or differs["s"] or lost_in_process or protocols_differ else 0
+    reports_differ = compare_reports(before, after)
+    failed = differs["r"] or differs["s"] or lost_in_process or protocols_differ or reports_differ
+    return 1 if failed else 0
 
 
 def compare_protocols(before: dict, after: dict) -> bool:
@@ -171,6 +202,36 @@ def compare_protocols(before: dict, after: dict) -> bool:
                 f"{differ} of {len(runs)} differ in decoded value or success")
         print(f"{name}: {head}; largest amplitude difference {amp_gap:.3g}")
         any_differ |= differ > 0
+    return any_differ
+
+
+def compare_reports(before: dict, after: dict) -> bool:
+    """Print the verify and capacities differences; True if any but a max_deviation differs."""
+    if "verify" not in before or "verify" not in after:
+        print("verify and capacities reports: not recorded on both sides")
+        return True
+    def fields(run: dict) -> tuple:
+        return run["exit"], {k: v for k, v in run["report"].items() if k != "checks"}
+
+    any_differ = False
+    for name, old in before["verify"].items():
+        new = after["verify"][name]
+        old_checks, new_checks = old["report"]["checks"], new["report"]["checks"]
+        differ = fields(old) != fields(new) or len(old_checks) != len(new_checks)
+        moved = 0
+        for a, b in zip(old_checks, new_checks):
+            differ |= (a["name"], a["cases"], a["passed"]) != (b["name"], b["cases"], b["passed"])
+            if a["max_deviation"] != b["max_deviation"]:
+                moved += 1
+                print(f"verify {name}: {a['name']} max_deviation "
+                      f"{a['max_deviation']!r} -> {b['max_deviation']!r}")
+        print(f"verify {name}: {'DIFFERS' if differ else 'same'} checks, cases and passed; "
+              f"{moved} of {len(old_checks)} max_deviation values differ")
+        any_differ |= differ
+    for name, old in before["capacities"].items():
+        differ = old != after["capacities"][name]
+        print(f"capacities {name}: {'DIFFERS' if differ else 'same'}")
+        any_differ |= differ
     return any_differ
 
 
