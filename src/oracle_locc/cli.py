@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .locc import ab_substate, apply_deferred, deferred_operators, run_locc
+from .locc import ab_substate, apply_deferred, deferred_operators, run_bytes, run_locc
 from .netsim import (
     DEFAULT_TIMEOUT,
     HandshakeMismatch,
@@ -67,6 +67,7 @@ EXIT_TRANSPORT = 3
 
 EXHAUSTIVE_BOUND = 3  # up to here every function table is enumerated
 DEVIATION_TOL = 1e-10
+MAX_RUN_BYTES = 1 << 30  # the largest locc.run_bytes that run and serve take on
 
 
 class CliError(Exception):
@@ -321,7 +322,11 @@ def cmd_capacities(args) -> int:
 # --- run / serve / connect ------------------------------------------------
 
 def _seeded_input(f: FunctionTable, seed: int):
-    """The run input state: seeded Gaussian amplitudes on A, B."""
+    """The run input state: seeded Gaussian amplitudes on A, B, once the run fits MAX_RUN_BYTES."""
+    footprint = run_bytes(f.M, f.N, build_partition(f).n_values)
+    if footprint > MAX_RUN_BYTES:  # read at call time, so a lowered cap is the one named
+        raise CliError(
+            f"a run of this table needs {footprint} bytes, over the {MAX_RUN_BYTES}-byte cap")
     return random_state((f.M, f.N), ("A", "B"), np.random.default_rng(seed))
 
 

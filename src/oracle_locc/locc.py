@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from typing import Callable
 
 import numpy as np
@@ -44,6 +44,7 @@ from .oracle import (
 from .quantum import (
     LocalOperator,
     StateVector,
+    SupportState,
     _Owned,
     apply_local,
     entanglement_entropy,
@@ -165,7 +166,8 @@ def initial_state(f: FunctionTable, input_state: StateVector) -> StateVector:
     """Input on A, B joined with the fresh ancilla pair, ordered A, a, B, b.
 
     The amplitude of |x, j, y, j> is input[x, y] / sqrt(n_f), written onto
-    that diagonal directly; every other amplitude is zero.
+    that diagonal directly; every other amplitude is zero.  execute_script
+    starts from the same state held as its support (_initial_support).
     """
     n = build_partition(f).n_values
     ab = _check_input(input_state, f)
@@ -173,6 +175,16 @@ def initial_state(f: FunctionTable, input_state: StateVector) -> StateVector:
     j = np.arange(n)
     amps[:, j, :, j] = ab.tensor_view() * (1.0 / np.sqrt(n))
     return StateVector(amps.shape, SUBSYSTEM_ORDER, _Owned(amps))
+
+
+def _initial_support(f: FunctionTable, input_state: StateVector) -> SupportState:
+    """initial_state's M * N * n_f nonzero amplitudes, input[x, y] / sqrt(n_f) at |x, j, y, j>."""
+    n = build_partition(f).n_values
+    ab = _check_input(input_state, f)
+    xj = np.arange(f.M * n)  # x * n + j, so the indices ascend in (x, j, y)
+    indices = (xj * (f.N * n) + xj % n)[:, None] + np.arange(0, f.N * n, n)
+    amps = np.repeat((ab.tensor_view() * (1.0 / np.sqrt(n)))[:, None, :], n, axis=1)
+    return SupportState((f.M, n, f.N, n), SUBSYSTEM_ORDER, _Owned(indices), _Owned(amps))
 
 
 def _with_ancillas(ab: np.ndarray, n: int, r: int, s: int) -> StateVector:
@@ -325,6 +337,13 @@ def make_transcript(
 
 # --- the script interpreter ----------------------------------------------
 
+@lru_cache(maxsize=64)
+def _pair_entropy(n: int) -> float:
+    """The entropy of the fresh pair's reduced state on a, I / n: it depends on n alone."""
+    pair = np.eye(n) / np.sqrt(n)
+    return von_neumann_entropy(pair @ pair.conj().T)
+
+
 class LocalParties:
     """Both parties in this process: every operator is built from the script."""
 
@@ -351,17 +370,15 @@ def execute_script(
     Referee) performs each apply step as parties.apply(step, state, value),
     value being the r or s the step depends on, and is told about each
     measure and send by parties.measured(step, outcome) and sent(step, value).
+    The state is a SupportState (_initial_support) until a is measured.
     A measured ancilla leaves the state (see collapse): the steps after it
     see that label at dimension 1, and the returned state has both ancillas
     back at dimension n_f, in |r> and |s>.
     """
     rng = np.random.default_rng(int(seed))
     script = build_locc_script(f)
-    state = initial_state(f, input_state)
+    state = _initial_support(f, input_state)
     n = state.dim_of("a")
-    # The pair's reduced state on a, before the pair is joined to the input.
-    pair = np.eye(n) / np.sqrt(n)
-    initial_entropy = von_neumann_entropy(pair @ pair.conj().T)
     values: dict[str, int] = {}
     for step in script:
         if step.action == "apply":
@@ -372,9 +389,19 @@ def execute_script(
         else:
             parties.sent(step, values[step.value])
     final_entropy = entanglement_entropy(state, {"a"})
-    ledger = make_ledger(build_partition(f).n_values, initial_entropy, final_entropy)
+    ledger = make_ledger(build_partition(f).n_values, _pair_entropy(n), final_entropy)
     transcript = make_transcript(f, int(seed), script, values["r"], values["s"], ledger)
     return _with_ancillas(state.tensor_view()[:, 0, :, 0], n, values["r"], values["s"]), transcript
+
+
+def run_bytes(M: int, N: int, n_f: int) -> int:
+    """The bytes one run's state takes at its peak, at 16 bytes an amplitude and 8 an index.
+
+    The returned (A, a, B, b) state has M * N * n_f^2 amplitudes, and dominates.  The
+    sum adds the M * N * n_f amplitudes left once a is measured and the support's
+    M * N * n_f indices and amplitudes before that.
+    """
+    return 16 * M * N * n_f * n_f + (16 + 8 + 16) * M * N * n_f
 
 
 def run_locc(

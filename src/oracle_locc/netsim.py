@@ -132,7 +132,7 @@ def decode_wire(frame: bytes) -> WireMessage:
         pairs = json.loads(frame[4:].decode("utf-8"), object_pairs_hook=list)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise WireFormatError(f"frame body is not valid JSON: {exc}") from exc
-    if not isinstance(pairs, list) or [k for k, _ in pairs] != ["seq", "sender", "kind", "payload"]:
+    if not _is_object(pairs) or [k for k, _ in pairs] != ["seq", "sender", "kind", "payload"]:
         raise WireFormatError("message keys must be exactly (seq, sender, kind, payload) in order")
     fields = dict(pairs)
     seq, sender, kind, payload = fields["seq"], fields["sender"], fields["kind"], fields["payload"]
@@ -140,9 +140,9 @@ def decode_wire(frame: bytes) -> WireMessage:
         raise WireFormatError("seq must be a non-negative integer")
     if not isinstance(sender, str):
         raise WireFormatError("sender must be a string")
-    if kind not in _PAYLOAD_KEYS:
+    if not isinstance(kind, str) or kind not in _PAYLOAD_KEYS:
         raise WireFormatError(f"unknown message kind {kind!r}")
-    if not isinstance(payload, list) or any(not isinstance(p, tuple) or len(p) != 2 for p in payload):
+    if not _is_object(payload):
         raise WireFormatError("payload must be a JSON object")
     if len(dict(payload)) != len(payload):
         raise WireFormatError("payload has duplicate keys")
@@ -177,6 +177,14 @@ def _check_payload(kind: str, payload: dict) -> None:
             raise WireFormatError(f"ERROR code must be one of {sorted(_ERROR_TYPES)}")
         if not isinstance(payload["message"], str):
             raise WireFormatError("ERROR message must be a string")
+
+
+def _is_object(x) -> bool:
+    """True for a decoded JSON object: object_pairs_hook=list makes it a list of (key, value) tuples.
+
+    A JSON array decodes to a list too, but its elements are never tuples.
+    """
+    return isinstance(x, list) and all(isinstance(p, tuple) for p in x)
 
 
 def _is_int(x) -> bool:

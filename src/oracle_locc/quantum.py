@@ -13,14 +13,15 @@ it is.
 Each state primitive reads the amplitudes once, as a contiguous
 (pre, block, post) array whose middle axis merges the subsystems it acts
 on; a layout where those are not adjacent and in order is transposed into
-one where they are first.
+one where they are first.  A SupportState keeps only the nonzero part of a
+state: its flat indices, ascending, and their amplitudes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import prod
+from math import prod, sqrt
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -42,41 +43,41 @@ class _Owned:
         self.array = array
 
 
-def _frozen_complex(values, size: int | None = None) -> np.ndarray:
+def _frozen(values, size: int | None = None, dtype=np.complex128) -> np.ndarray:
     if isinstance(values, _Owned):
         arr = values.array.reshape(-1)
     else:
-        arr = np.array(values, dtype=np.complex128).reshape(-1)
+        arr = np.array(values, dtype=dtype).reshape(-1)
     if size is not None and arr.size != size:
         raise ValueError(f"amplitude vector has length {arr.size}, expected {size}")
     arr.setflags(write=False)
     return arr
 
 
+def _check_normalized(amps: np.ndarray) -> None:
+    norm2 = float(np.vdot(amps, amps).real)
+    if not abs(norm2 - 1.0) <= 1e-9:  # written so that NaN fails too
+        raise ValueError(f"state is not normalized: |amps|^2 = {norm2}")
+
+
 @dataclass(frozen=True, eq=False)
-class StateVector:
-    """Normalized pure state over an ordered list of labelled subsystems."""
+class _Layout:
+    """An ordered list of labelled subsystems, the part StateVector and SupportState share."""
 
     dims: tuple[int, ...]
     labels: tuple[str, ...]
-    amps: np.ndarray
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
-        labels = tuple(str(x) for x in self.labels)
+        dims = tuple(map(int, self.dims))
+        labels = tuple(map(str, self.labels))
         if len(dims) != len(labels):
             raise ValueError("dims and labels must have equal length")
-        if any(d < 1 for d in dims):
+        if min(dims, default=1) < 1:
             raise ValueError("subsystem dimensions must be >= 1")
         if len(set(labels)) != len(labels):
             raise ValueError(f"duplicate subsystem labels in {labels}")
-        amps = _frozen_complex(self.amps, prod(dims))
-        norm2 = float(np.vdot(amps, amps).real)
-        if not abs(norm2 - 1.0) <= 1e-9:  # written so that NaN fails too
-            raise ValueError(f"state is not normalized: |amps|^2 = {norm2}")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "amps", amps)
 
     def axis(self, label: str) -> int:
         try:
@@ -86,6 +87,23 @@ class StateVector:
 
     def dim_of(self, label: str) -> int:
         return self.dims[self.axis(label)]
+
+    def __repr__(self):
+        parts = ", ".join(f"{x}:{d}" for x, d in zip(self.labels, self.dims))
+        return f"{type(self).__name__}({parts})"
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class StateVector(_Layout):
+    """Normalized pure state over an ordered list of labelled subsystems."""
+
+    amps: np.ndarray
+
+    def __post_init__(self):
+        super().__post_init__()
+        amps = _frozen(self.amps, prod(self.dims))
+        _check_normalized(amps)
+        object.__setattr__(self, "amps", amps)
 
     def tensor_view(self) -> np.ndarray:
         """Amplitudes reshaped to one axis per subsystem (read-only view)."""
@@ -99,9 +117,28 @@ class StateVector:
             raise ValueError("overlap requires identical subsystem layout")
         return complex(np.vdot(self.amps, other.amps))
 
-    def __repr__(self):
-        parts = ", ".join(f"{x}:{d}" for x, d in zip(self.labels, self.dims))
-        return f"StateVector({parts})"
+
+@dataclass(frozen=True, eq=False, repr=False)
+class SupportState(_Layout):
+    """Normalized pure state held as its support: ascending flat indices and their amplitudes.
+
+    Every other amplitude is zero.  apply_local (monomial operators only) and the
+    measurement functions take one.
+    """
+
+    indices: np.ndarray
+    amps: np.ndarray
+
+    def __post_init__(self):
+        super().__post_init__()
+        indices = _frozen(self.indices, dtype=np.intp)
+        amps = _frozen(self.amps, indices.size)
+        _check_normalized(amps)  # so the support is not empty
+        ascending = (indices[1:] > indices[:-1]).all()
+        if not (ascending and indices[0] >= 0 and indices[-1] < prod(self.dims)):
+            raise ValueError("support indices must be strictly ascending and within the state")
+        object.__setattr__(self, "indices", indices)
+        object.__setattr__(self, "amps", amps)
 
 
 def basis_state(
@@ -214,13 +251,6 @@ def _ungrouped(psi3: np.ndarray, dims: tuple[int, ...], order: tuple[int, ...] |
     return moved.transpose(np.argsort(order)).reshape(-1)
 
 
-def _outcome_weights(psi3: np.ndarray) -> np.ndarray:
-    """Sum of |amplitude|^2 over pre and post for each middle index of a (pre, d, post) array."""
-    pre, d, _ = psi3.shape
-    real = psi3.reshape(pre, -1).view(np.float64)  # re and im interleaved
-    return np.einsum("ij,ij->j", real, real).reshape(d, -1).sum(axis=1)
-
-
 @dataclass(frozen=True, eq=False)
 class LocalOperator:
     """Operator acting on one subsystem or an ordered pair of subsystems.
@@ -290,18 +320,20 @@ class LocalOperator:
         return (self.target,) if isinstance(self.target, str) else self.target
 
 
-def apply_local(state: StateVector, op: LocalOperator) -> StateVector:
+def apply_local(state: StateVector | SupportState, op: LocalOperator) -> StateVector | SupportState:
     """Apply op to its target subsystem(s), identity elsewhere.
 
     On the (pre, block, post) array of the state, a monomial operator is one
     gather along block times its phases and a dense one is one matmul; the
-    global matrix is never materialized.
+    global matrix is never materialized.  A support state is remapped (_remap).
     """
     axes = [state.axis(x) for x in op.target_labels]
     tdims = tuple(state.dims[i] for i in axes)
     block = prod(tdims)
     if op.dim != block:
         raise ValueError(f"operator dimension {op.dim} does not match target dims {tdims}")
+    if isinstance(state, SupportState):
+        return _remap(state, op, axes)
     psi3, order = _grouped(state, axes)
     if op.source is not None:
         out = np.take(psi3, op.source, axis=1)
@@ -313,13 +345,54 @@ def apply_local(state: StateVector, op: LocalOperator) -> StateVector:
     return StateVector(state.dims, state.labels, _Owned(_ungrouped(out, state.dims, order)))
 
 
-def measurement_probabilities(state: StateVector, label: str) -> np.ndarray:
-    """Exact computational-basis outcome distribution for one subsystem."""
-    psi3, _ = _grouped(state, [state.axis(label)])
-    return _outcome_weights(psi3)
+def _remap(state: SupportState, op: LocalOperator, axes: list[int]) -> SupportState:
+    """A monomial op on a support state: an index moves to the row whose source is its column.
+
+    The column is one digit of the flat index, or one per target if they are
+    not adjacent and ascending; the row's phase multiplies as in the gather.
+    """
+    if op.source is None:
+        raise ValueError("a SupportState takes only an operator given by source and phases")
+    if axes == list(range(axes[0], axes[0] + len(axes))):
+        strides, sizes = [prod(state.dims[axes[-1] + 1 :])], [op.dim]
+    else:
+        strides, sizes = [prod(state.dims[i + 1 :]) for i in axes], [state.dims[i] for i in axes]
+    # A digit that leads the flat index needs no remainder, which numpy takes slowly.
+    old = [state.indices // stride % d if stride * d < prod(state.dims) else state.indices // stride
+           for stride, d in zip(strides, sizes)]
+    column = old[0] if len(old) == 1 else np.ravel_multi_index(old, sizes)
+    row = np.argsort(op.source)[column]  # the inverse permutation: source[row] = column
+    new = [row] if len(old) == 1 else np.unravel_index(row, sizes)
+    indices = sum(((n - k) * stride for n, k, stride in zip(new, old, strides)), state.indices)
+    # Indices with equal target digits keep their order, so timsort merges runs (two per x in step 1).
+    order = np.argsort(indices, kind="stable")
+    amps = state.amps * op.phases[row]
+    return SupportState(state.dims, state.labels, _Owned(indices[order]), _Owned(amps[order]))
 
 
-def collapse(state: StateVector, label: str, outcome: int) -> tuple[float, StateVector | None]:
+def measurement_probabilities(state: StateVector | SupportState, label: str) -> np.ndarray:
+    """Exact computational-basis outcome distribution for one subsystem.
+
+    Each |amplitude|^2 column, re and im apart, is first summed over the
+    subsystems before this one in ascending order, which is also the order
+    a support state's ascending indices feed bincount; then each outcome's
+    columns are summed.  So both kinds of state give the same bits.
+    """
+    axis = state.axis(label)
+    if isinstance(state, SupportState):
+        span = prod(state.dims[axis:])
+        column, columns = state.indices % span, np.empty((span, 2))
+        for part, values in enumerate((state.amps.real, state.amps.imag)):
+            columns[:, part] = np.bincount(column, values * values, span)
+    else:
+        real = state.amps.reshape(prod(state.dims[:axis]), -1).view(np.float64)  # re, im interleaved
+        columns = np.einsum("ij,ij->j", real, real)
+    return columns.reshape(state.dims[axis], -1).sum(axis=1)
+
+
+def collapse(
+    state: StateVector | SupportState, label: str, outcome: int
+) -> tuple[float, StateVector | None]:
     """Project a subsystem onto a basis outcome.
 
     Returns the branch probability and the renormalized surviving slice
@@ -331,22 +404,35 @@ def collapse(state: StateVector, label: str, outcome: int) -> tuple[float, State
     d = state.dims[axis]
     if not 0 <= outcome < d:
         raise ValueError(f"outcome {outcome} out of range for dimension {d}")
-    psi3, _ = _grouped(state, [axis])
-    prob = float(_outcome_weights(psi3[:, outcome : outcome + 1])[0])
+    prob = float(measurement_probabilities(state, label)[outcome])
     if prob <= 0.0:
         return 0.0, None
+    return prob, _slice(state, axis, outcome, prob)
+
+
+def _slice(state: StateVector | SupportState, axis: int, outcome: int, prob: float) -> StateVector:
+    """collapse's surviving slice, given the outcome's probability prob > 0."""
+    d, post = state.dims[axis], prod(state.dims[axis + 1 :])
     dims = state.dims[:axis] + (1,) + state.dims[axis + 1 :]
-    return prob, StateVector(dims, state.labels, _Owned(psi3[:, outcome] / np.sqrt(prob)))
+    if isinstance(state, SupportState):
+        keep = state.indices // post % d == outcome
+        kept = state.indices[keep]  # (p * d + outcome) * post + q goes to p * post + q
+        amps = np.zeros(prod(dims), dtype=np.complex128)
+        amps[kept - (kept // (d * post) * (d - 1) + outcome) * post] = state.amps[keep] / sqrt(prob)
+    else:
+        amps = state.amps.reshape(-1, d, post)[:, outcome] / sqrt(prob)
+    return StateVector(dims, state.labels, _Owned(amps))
 
 
 def measure_computational(
-    state: StateVector, label: str, rng: np.random.Generator | int
+    state: StateVector | SupportState, label: str, rng: np.random.Generator | int
 ) -> tuple[int, StateVector]:
     """Sample a computational-basis measurement of one subsystem.
 
     Returns the outcome and the collapsed state, with the measured subsystem
     at dimension 1 (see collapse).  All randomness flows through the
     supplied generator (an int seeds a fresh one), so runs are reproducible.
+    The outcome weights are taken once, and the chosen one scales the slice.
     """
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(int(rng))
@@ -359,8 +445,7 @@ def measure_computational(
     outcome = min(outcome, len(probs) - 1)
     while probs[outcome] == 0.0:  # guard against landing on a zero branch at a float edge
         outcome -= 1
-    _, post = collapse(state, label, outcome)
-    return outcome, post
+    return outcome, _slice(state, state.axis(label), outcome, float(probs[outcome]))
 
 
 def partial_trace(state: StateVector, keep: Iterable[str]) -> np.ndarray:

@@ -2,8 +2,11 @@
 
 import importlib
 import json
+import socket
+import struct
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -12,7 +15,7 @@ import pytest
 from oracle_locc import cli as cli_module
 from oracle_locc import locc, oracle, quantum
 from oracle_locc.cli import _Check, main
-from oracle_locc.locc import OPERATOR_BUILDERS, step7_operator
+from oracle_locc.locc import OPERATOR_BUILDERS, run_bytes, step7_operator
 from oracle_locc.oracle import (
     FunctionTable,
     OracleSchmidtForm,
@@ -345,6 +348,44 @@ class TestUsageErrors:
         assert captured.err.startswith("error: cannot write") and captured.err.count("\n") == 1
 
 
+class TestRunBudget:
+    """run and serve refuse a table whose run would exceed MAX_RUN_BYTES, before drawing its input."""
+
+    def test_an_oversize_table_exits_2_in_one_line_before_any_allocation(self, tmp_path, capsys):
+        table = tmp_path / "permutation4096.json"
+        table.write_text(json.dumps({"M": 4096, "N": 4096,
+                                     "table": [(5 * x + 3) % 4096 for x in range(4096)]}))
+        proc = run_script("run", "--f", str(table))
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == (f"error: a run of this table needs {run_bytes(4096, 4096, 4096)} "
+                               f"bytes, over the {cli_module.MAX_RUN_BYTES}-byte cap\n")
+        for argv in (("run",), ("serve", "--timeout", "1")):
+            tracemalloc.start()
+            try:
+                assert cli(*argv, "--f", str(table)) == 2
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 4 << 20  # the input state alone would take 256 MiB
+        assert capsys.readouterr().err.count("needs") == 2
+
+    def test_a_table_at_a_lowered_cap_still_runs(self, monkeypatch, capsys):
+        footprint = run_bytes(3, 3, 3)
+        monkeypatch.setattr(cli_module, "MAX_RUN_BYTES", footprint)
+        assert cli("run", "--f", THREE_CYCLE, "--seed", "11") == 0
+        assert json.loads(capsys.readouterr().out)["seed"] == 11
+        monkeypatch.setattr(cli_module, "MAX_RUN_BYTES", footprint - 1)
+        assert cli("run", "--f", THREE_CYCLE, "--seed", "11") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: a run of this table needs {footprint} bytes, "
+                                f"over the {footprint - 1}-byte cap\n")
+
+    def test_other_protocols_take_no_budget(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli_module, "MAX_RUN_BYTES", 0)
+        assert cli("run", "--protocol", "forward", "--f", THREE_CYCLE) == 0
+
+
 def serve_connect(command, env, table, clients, serve_args=()):
     """A `serve` process and one `connect` process per (role, table) in clients.
 
@@ -476,6 +517,35 @@ class TestScriptProcess:
             assert err.count("\n") == 1 and "Traceback" not in err, err
             assert err.startswith("protocol error: HandshakeMismatch: "), err
             assert "alice's function table differs from the referee's" in err, err
+
+    def test_hostile_frame_to_serve_is_one_protocol_error_line(self):
+        # A kind that is a JSON list once made decode_wire raise TypeError, and serve print a traceback.
+        body = b'{"seq": 1, "sender": "alice", "kind": ["HANDSHAKE"], "payload": {}}'
+        command, env = cli_command()
+        server = subprocess.Popen(
+            [*command, "serve", "--f", IDENTITY2, "--port", "0", "--timeout", "20"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        )
+        try:
+            announcement = server.stderr.readline()
+            assert announcement.startswith("listening on ")
+            port = int(announcement.strip().rsplit(":", 1)[1])
+            # Both clients send it, so the outcome does not depend on accept order.
+            clients = [socket.create_connection(("127.0.0.1", port), timeout=20) for _ in range(2)]
+            try:
+                for client in clients:
+                    client.sendall(struct.pack("<I", len(body)) + body)
+                out, err = server.communicate(timeout=60)
+            finally:
+                for client in clients:
+                    client.close()
+        finally:
+            server.kill()
+            server.wait()
+        assert server.returncode == 1, err
+        assert out == ""
+        assert err.count("\n") == 1 and "Traceback" not in err, err
+        assert err.startswith("protocol error: WireFormatError: unknown message kind"), err
 
     def test_party_failure_in_serve_connect_names_its_cause_in_every_process(self):
         # Under the 4 KiB cap Alice cannot encode her step-1 frame.  Her ERROR

@@ -1,6 +1,7 @@
 """Distributed protocol: step operators, state evolution, transcripts, ledger."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from oracle_locc.locc import (
     execute_script,
     initial_state,
     make_ledger,
+    run_bytes,
     run_locc,
     run_locc_all_branches,
     run_locc_deferred,
@@ -40,7 +42,10 @@ from oracle_locc.quantum import (
     apply_local,
     collapse,
     fidelity,
+    SupportState,
+    StateVector,
     from_amps,
+    measure_computational,
     measurement_probabilities,
     random_state,
     reorder,
@@ -310,6 +315,81 @@ class TestMeasuredAncillasLeaveTheState:
         assert_allclose(
             final.amps, reference_final_state(f, inp, transcript.r, transcript.s).amps, atol=1e-12
         )
+
+
+def dense_walk(f, input_state, seed):
+    """run_locc's walk from the dense initial_state, as forked_branches builds it: (r, s, final amps).
+
+    Every apply goes through LocalParties and each measure through
+    measure_computational with run_locc's seeded generator; the final
+    amplitudes put the A, B slice back beside the ancillas in |r>, |s>.
+    """
+    rng = np.random.default_rng(seed)
+    parties = LocalParties(f)
+    state, values = initial_state(f, input_state), {}
+    for step in build_locc_script(f):
+        if step.action == "apply":
+            state = parties.apply(step, state, values.get(step.depends_on))
+        elif step.action == "measure":
+            values[step.value], state = measure_computational(state, step.targets[0], rng)
+    n = build_partition(f).n_values
+    final = np.zeros((f.M, n, f.N, n), dtype=np.complex128)
+    final[:, values["r"], :, values["s"]] = state.tensor_view()[:, 0, :, 0]
+    return values["r"], values["s"], final
+
+
+def n_valued_table(M, n_f, rng):
+    """A table Z_M -> Z_M that takes exactly n_f distinct values."""
+    values = rng.choice(M, size=n_f, replace=False)
+    picks = np.concatenate([np.arange(n_f), rng.integers(0, n_f, size=M - n_f)])
+    rng.shuffle(picks)
+    return FunctionTable(M, M, tuple(int(values[k]) for k in picks))
+
+
+class TestSupportPath:
+    """run_locc holds the state as its support until a is measured, at the dense walk's bits."""
+
+    @pytest.mark.parametrize("M, n_f", [(32, 32), (64, 17)])
+    def test_run_locc_equals_the_dense_walk_bit_for_bit(self, M, n_f):
+        rng = np.random.default_rng(M * n_f)
+        f = n_valued_table(M, n_f, rng)
+        inp = random_state((M, M), ("A", "B"), rng)
+        for seed in (0, 1):
+            final, transcript, _ = run_locc(f, inp, seed)
+            r, s, expected = dense_walk(f, inp, seed)
+            assert (transcript.r, transcript.s) == (r, s)
+            assert final.amps.tobytes() == expected.tobytes()
+
+    def test_only_step_1_sees_the_support_state(self):
+        class Spy(LocalParties):
+            def __init__(self, f):
+                super().__init__(f)
+                self.seen = {}
+
+            def apply(self, step, state, value):
+                self.seen[step.step] = type(state)
+                return super().apply(step, state, value)
+
+        f = FunctionTable(4, 3, (2, 0, 2, 1))
+        spy = Spy(f)
+        execute_script(f, random_state((4, 3), ("A", "B"), np.random.default_rng(2)), 3, spy)
+        assert spy.seen == {1: SupportState, 3: StateVector, 4: StateVector, 5: StateVector,
+                            7: StateVector}
+
+    def test_peak_memory_stays_near_the_returned_state(self):
+        rng = np.random.default_rng(32)
+        f = n_valued_table(32, 32, rng)
+        inp = random_state((32, 32), ("A", "B"), rng)
+        tracemalloc.start()
+        try:
+            final, _, _ = run_locc(f, inp, 5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert final.amps.nbytes == 16 << 20
+        # A dense state before a is measured would double that by itself.
+        assert peak < 1.5 * final.amps.nbytes
+        assert peak <= run_bytes(32, 32, 32)
 
 
 class TestRunLocc:

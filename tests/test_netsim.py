@@ -89,6 +89,17 @@ class TestWireCodec:
         with pytest.raises(WireFormatError, match="kind"):
             decode_wire(frame_of(body))
 
+    @pytest.mark.parametrize("body", [
+        '{"seq": 1, "sender": "a", "kind": ["HANDSHAKE"], "payload": {"status": "ready"}}',
+        '{"seq": 1, "sender": "a", "kind": {"HANDSHAKE": 1}, "payload": {"status": "ready"}}',
+        "[1]",
+        "[[1, 2, 3]]",
+        '[["seq", 1], ["sender", "a"], ["kind", "HANDSHAKE"], ["payload", {"status": "ready"}]]',
+    ], ids=["kind-list", "kind-object", "array-of-numbers", "array-of-triples", "array-of-pairs"])
+    def test_hostile_bodies_are_wire_format_errors(self, body):
+        with pytest.raises(WireFormatError):
+            decode_wire(frame_of(body))
+
     def test_rejects_truncated_and_mismatched_frames(self):
         frame = encode_wire(WireMessage(1, "a", "HANDSHAKE", {"status": "ready"}))
         with pytest.raises(WireFormatError, match="does not match"):

@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 from oracle_locc.quantum import (
     LocalOperator,
     StateVector,
+    SupportState,
     apply_local,
     basis_state,
     collapse,
@@ -313,6 +314,111 @@ class TestKernels:
         # A (256, 256, 256) intermediate of per-row outer products would take 256 MiB.
         assert peak < 8 << 20
         assert_allclose(rho, ref_partial_trace(state, [1]), rtol=0, atol=1e-12)
+
+
+def dense_form(support: SupportState) -> StateVector:
+    """The StateVector with the support's amplitudes at its indices and zeros elsewhere."""
+    amps = np.zeros(int(np.prod(support.dims)), dtype=np.complex128)
+    amps[support.indices] = support.amps
+    return StateVector(support.dims, support.labels, amps)
+
+
+def random_support(rng: np.random.Generator, dims: tuple[int, ...], labels) -> SupportState:
+    """A state on a random nonempty subset of the basis; about a third of its amplitudes are 0."""
+    total = int(np.prod(dims))
+    indices = np.sort(rng.choice(total, size=int(rng.integers(1, total + 1)), replace=False))
+    amps = rng.standard_normal(indices.size) + 1j * rng.standard_normal(indices.size)
+    amps[rng.random(indices.size) < 0.3] = 0.0
+    if not amps.any():
+        amps[-1] = 1.0
+    return SupportState(dims, labels, indices, amps / np.linalg.norm(amps))
+
+
+class TestSupportState:
+    """A support state gives the bits its dense form gives, through every primitive it takes."""
+
+    LABELS = ("A", "a", "B", "b")
+
+    def test_monomial_apply_equals_the_dense_gather_bit_for_bit(self, rng):
+        for _ in range(200):
+            dims = random_layout(rng, 4)
+            support = random_support(rng, dims, self.LABELS)
+            count = int(rng.integers(1, 3))
+            axes = [int(i) for i in rng.choice(4, size=count, replace=False)]  # in any order
+            block = int(np.prod([dims[i] for i in axes]))
+            targets = tuple(self.LABELS[i] for i in axes)
+            op = LocalOperator(targets[0] if count == 1 else targets, source=rng.permutation(block),
+                               phases=np.exp(2j * np.pi * rng.random(block)))
+            out = apply_local(support, op)
+            dense = apply_local(dense_form(support), op).amps
+            assert isinstance(out, SupportState)
+            # On the support, the same bits; off it, zeros (the dense product may sign them).
+            assert out.amps.tobytes() == dense[out.indices].tobytes()
+            rest = np.ones(dense.size, dtype=bool)
+            rest[out.indices] = False
+            assert not dense[rest].any()
+
+    def test_a_leading_adjacent_pair_is_one_digit(self, rng):
+        support = random_support(rng, (3, 4, 2, 4), self.LABELS)
+        op = LocalOperator(("A", "a"), source=rng.permutation(12), phases=np.ones(12))
+        out = apply_local(support, op)
+        assert out.amps.tobytes() == apply_local(dense_form(support), op).amps[out.indices].tobytes()
+
+    def test_probabilities_and_collapse_equal_the_dense_ones_bit_for_bit(self, rng):
+        for _ in range(200):
+            dims = random_layout(rng, 4)
+            support = random_support(rng, dims, self.LABELS)
+            dense = dense_form(support)
+            label = self.LABELS[int(rng.integers(0, 4))]
+            probs = measurement_probabilities(support, label)
+            assert probs.tobytes() == measurement_probabilities(dense, label).tobytes()
+            for outcome in range(support.dim_of(label)):
+                prob, post = collapse(support, label, outcome)
+                dense_prob, dense_post = collapse(dense, label, outcome)
+                assert prob == dense_prob == probs[outcome]
+                if post is None:
+                    assert dense_post is None
+                else:
+                    assert isinstance(post, StateVector) and post.dims == dense_post.dims
+                    assert post.amps.tobytes() == dense_post.amps.tobytes()
+
+    def test_measurement_equals_the_dense_one_bit_for_bit(self, rng):
+        for seed in range(30):
+            dims = random_layout(rng, 4)
+            support = random_support(rng, dims, self.LABELS)
+            label = self.LABELS[seed % 4]
+            outcome, post = measure_computational(support, label, seed)
+            dense_outcome, dense_post = measure_computational(dense_form(support), label, seed)
+            assert outcome == dense_outcome
+            assert post.amps.tobytes() == dense_post.amps.tobytes()
+
+    def test_a_dense_operator_is_refused(self, rng):
+        support = random_support(rng, (2, 3), ("A", "B"))
+        with pytest.raises(ValueError, match="source and phases"):
+            apply_local(support, LocalOperator("B", random_unitary(3, rng)))
+
+    @pytest.mark.parametrize("indices, amps, match", [
+        ([2, 1], [0.6, 0.8], "ascending"),
+        ([1, 1], [0.6, 0.8], "ascending"),
+        ([-1, 2], [0.6, 0.8], "ascending"),
+        ([0, 6], [0.6, 0.8], "ascending"),
+        ([0, 1], [0.6, 0.6], "not normalized"),
+        ([0, 1], [np.nan, 0.8], "not normalized"),
+        ([], [], "not normalized"),
+        ([0, 1, 2], [0.6, 0.8], "length"),
+    ])
+    def test_invalid_supports_are_refused(self, indices, amps, match):
+        with pytest.raises(ValueError, match=match):
+            SupportState((2, 3), ("A", "B"), indices, amps)
+
+    def test_indices_and_amplitudes_are_copied_and_read_only(self):
+        indices, amps = np.array([1, 4]), np.array([0.6, 0.8j])
+        support = SupportState((2, 3), ("A", "B"), indices, amps)
+        indices[0], amps[0] = 0, 1.0
+        assert support.indices.tolist() == [1, 4] and support.amps[0] == 0.6
+        for array in (support.indices, support.amps):
+            with pytest.raises(ValueError):
+                array[0] = 0
 
 
 class TestOwnership:

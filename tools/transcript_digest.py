@@ -19,7 +19,10 @@ run it keeps the decoded value and success flag (the ebits, for
 entangle_protocol) and the final amplitudes.  Last, it keeps the exit code
 and JSON report of `verify --seed 3` at the default bounds and at
 `--max-m 5 --max-n 5 --trials 40`, and of `capacities` on an 8 x 8 and a
-32 x 32 permutation and a 6 x 5 table that is not one.
+32 x 32 permutation and a 6 x 5 table that is not one.  It also runs one
+random permutation each at M = 16, 32 and 64 (numpy's default_rng([2024, M])
+draws the table and the input) through run_locc with seed 0, and keeps r,
+s and a digest of the final amplitudes.
 
 `compare` prints how many transcripts differ in each top-level field and
 each ledger field, with the largest difference of each ledger field in
@@ -32,10 +35,11 @@ anywhere, if run_in_process matched run_locc in BEFORE and no longer does
 in AFTER, or if a protocol's decoded value or success flag differs.  It
 prints the frame digest of each sender and the frame count of each kind,
 before and after, but does not fail on them, since a change of the wire
-bytes can be intended.  It prints every check whose max_deviation differs
-between the two `verify` reports, and exits 1 if an exit code, a check
-name, its cases or passed flag, another report field, or any `capacities`
-field differs.
+bytes can be intended.  It prints r, s and the amplitude digest of each
+of the three larger runs, and exits 1 if r or s differs.  It prints every
+check whose max_deviation differs between the two `verify` reports, and
+exits 1 if an exit code, a check name, its cases or passed flag, another
+report field, or any `capacities` field differs.
 """
 
 from __future__ import annotations
@@ -53,6 +57,7 @@ from itertools import permutations, product
 SEED = 2024
 TABLES = 105
 RUN_SEEDS = range(4)
+LARGE_SIZES = (16, 32, 64)
 VERIFY_ARGS = {
     "default": ["--seed", "3"],
     "5x5": ["--seed", "3", "--max-m", "5", "--max-n", "5", "--trials", "40"],
@@ -128,19 +133,28 @@ def record(src: str, out_path: str) -> None:
             code = cli.main(list(argv))
         return {"exit": code, "report": json.loads(out.getvalue())}
 
+    large = {}
+    for M in LARGE_SIZES:
+        large_rng = np.random.default_rng([SEED, M])
+        f = FunctionTable(M, M, tuple(int(v) for v in large_rng.permutation(M)))
+        state, transcript, _ = locc.run_locc(f, quantum.random_state((M, M), ("A", "B"), large_rng), 0)
+        large[str(M)] = {"r": transcript.r, "s": transcript.s,
+                         "amps": hashlib.sha256(state.amps.tobytes()).hexdigest()[:16]}
+
     verify = {name: cli_report("verify", *args) for name, args in VERIFY_ARGS.items()}
     capacities = {name: cli_report("capacities", "--f", json.dumps(table))
                   for name, table in CAPACITY_TABLES.items()}
     result = {"transcripts": transcripts, "amps": amps.hexdigest()[:16],
               "in_process_same": in_process_same, "protocols": runs,
               "frames": {sender: h.hexdigest()[:16] for sender, h in sorted(frames.items())},
-              "frame_kinds": dict(sorted(kinds.items())),
+              "frame_kinds": dict(sorted(kinds.items())), "large": large,
               "verify": verify, "capacities": capacities}
     with open(out_path, "w") as fh:
         json.dump(result, fh)
     print(f"{len(transcripts)} transcripts; amps {result['amps']}; "
           f"run_in_process identical: {in_process_same}; {sum(kinds.values())} frames; "
           "protocol runs: " + ", ".join(f"{name} {len(entries)}" for name, entries in runs.items())
+          + "; large runs " + ", ".join(f"M={M} amps {run['amps']}" for M, run in large.items())
           + f"; verify reports {len(verify)}; capacities reports {len(capacities)}")
 
 
@@ -177,10 +191,27 @@ def compare(before_path: str, after_path: str) -> int:
         for name in sorted(set(old) | set(new)):
             print(f"frames {name}: {old.get(name)} -> {new.get(name)}")
     lost_in_process = before["in_process_same"] and not after["in_process_same"]
+    large_differ = compare_large(before, after)
     protocols_differ = compare_protocols(before["protocols"], after["protocols"])
     reports_differ = compare_reports(before, after)
-    failed = differs["r"] or differs["s"] or lost_in_process or protocols_differ or reports_differ
+    failed = (differs["r"] or differs["s"] or lost_in_process or large_differ or protocols_differ
+              or reports_differ)
     return 1 if failed else 0
+
+
+def compare_large(before: dict, after: dict) -> bool:
+    """Print each larger run's r, s and amplitude digest; True if r or s differs or one is missing."""
+    if "large" not in before or "large" not in after:
+        print("large runs: not recorded on both sides")
+        return True
+    any_differ = False
+    for M, old in before["large"].items():
+        new = after["large"].get(M, {})
+        differ = (old["r"], old["s"]) != (new.get("r"), new.get("s"))
+        print(f"large run M={M}: r, s {'DIFFER' if differ else 'same'}; "
+              f"amps {old['amps']} -> {new.get('amps')}")
+        any_differ |= differ
+    return any_differ
 
 
 def compare_protocols(before: dict, after: dict) -> bool:
