@@ -30,6 +30,7 @@ ceil(log2 n_f) wire bits carrying log2(n_f) bits of information.
 from __future__ import annotations
 
 import json
+import mmap
 from dataclasses import asdict, dataclass
 from functools import lru_cache, reduce
 from typing import Callable
@@ -187,16 +188,34 @@ def _initial_support(f: FunctionTable, input_state: StateVector) -> SupportState
     return SupportState((f.M, n, f.N, n), SUBSYSTEM_ORDER, _Owned(indices), _Owned(amps))
 
 
+# numpy's huge-page size: from it, np.zeros advises huge pages, so the
+# ancilla scatter faults in 2 MB for each x it writes (and calloc may clear
+# a recycled heap block whole).  Fresh anonymous pages are zero-filled by the
+# kernel only where written.  Below it np.zeros is the faster call, scatter
+# included: 3 against 23 us at 64 KiB and 29 against 35 us at 1 MiB; the two
+# cross near 2.5 MiB.
+_FRESH_PAGES_BYTES = 4 << 20
+
+
 def _with_ancillas(ab: np.ndarray, n: int, r: int, s: int) -> StateVector:
     """The (A, a, B, b) state with A, B amplitudes ab (an M x N array) and the ancillas in |r>, |s>.
 
-    The amplitudes are scattered into np.zeros, whose untouched pages take
-    no memory.
+    Its norm is checked on the M x N block it writes, the only amplitudes
+    that can be nonzero.  A state of _FRESH_PAGES_BYTES or more is built on
+    fresh anonymous pages, so its zeros take no memory.
     """
     M, N = ab.shape
-    amps = np.zeros((M, n, N, n), dtype=np.complex128)
+    shape = (M, n, N, n)
+    nbytes = 16 * M * n * N * n
+    if nbytes < _FRESH_PAGES_BYTES:
+        amps = np.zeros(shape, dtype=np.complex128)
+    else:
+        pages = mmap.mmap(-1, nbytes)
+        if hasattr(mmap, "MADV_NOHUGEPAGE"):  # or huge pages set to "always" fault 2 MB an x
+            pages.madvise(mmap.MADV_NOHUGEPAGE)
+        amps = np.frombuffer(pages, np.complex128).reshape(shape)
     amps[:, r, :, s] = ab
-    return StateVector(amps.shape, SUBSYSTEM_ORDER, _Owned(amps))
+    return StateVector(shape, SUBSYSTEM_ORDER, _Owned(amps, block=amps[:, r, :, s]))
 
 
 # --- step operators ------------------------------------------------------
@@ -395,11 +414,13 @@ def execute_script(
 
 
 def run_bytes(M: int, N: int, n_f: int) -> int:
-    """The bytes one run's state takes at its peak, at 16 bytes an amplitude and 8 an index.
+    """The bytes one run's state allocates at its peak, at 16 bytes an amplitude and 8 an index.
 
     The returned (A, a, B, b) state has M * N * n_f^2 amplitudes, and dominates.  The
     sum adds the M * N * n_f amplitudes left once a is measured and the support's
-    M * N * n_f indices and amplitudes before that.
+    M * N * n_f indices and amplitudes before that.  These are allocated bytes, not
+    resident ones: a returned state of 4 MiB or more is resident only in the pages
+    its M * N nonzero amplitudes fall on (see _with_ancillas).
     """
     return 16 * M * N * n_f * n_f + (16 + 8 + 16) * M * N * n_f
 

@@ -422,6 +422,8 @@ class Referee:
             role = payload["role"]
             if role not in OWNERS.values() or role in by_role:
                 raise HandshakeMismatch(f"unknown or duplicate role {role!r}")
+            if msg.sender != role:
+                raise HandshakeMismatch(f"hello for role {role!r} claims sender {msg.sender!r}")
             if (payload["m"], payload["n"]) != (self.f.M, self.f.N):
                 raise HandshakeMismatch(
                     f"{role}'s dims ({payload['m']}, {payload['n']}) differ from "
@@ -588,6 +590,11 @@ class PartyEndpoint:
         elif step.action == "measure":
             self.conn.send("MEASURE_REQUEST", {"subsystem": step.targets[0]})
             result = self.conn.recv(expect=("MEASURE_RESULT",))
+            if (result.sender, result.payload["subsystem"]) != ("referee", step.targets[0]):
+                raise ProtocolOrderError(
+                    f"expected the referee's result for {step.targets[0]}, got "
+                    f"{result.sender!r}'s for {result.payload['subsystem']!r}"
+                )
             self.known[step.value] = result.payload["outcome"]
         elif step.action == "send":
             self.conn.send("CLASSICAL_VALUE", {"value": self.known[step.value], "bits": width})

@@ -35,12 +35,17 @@ _TRACE_CHUNK = 4096
 
 
 class _Owned:
-    """Amplitudes no caller holds a writable reference to: StateVector keeps them uncopied."""
+    """Amplitudes no caller holds a writable reference to: StateVector keeps them uncopied.
 
-    __slots__ = ("array",)
+    block, if given, views every amplitude of array that can be nonzero (the
+    rest are zero by construction), and StateVector checks the norm on it alone.
+    """
 
-    def __init__(self, array: np.ndarray):
+    __slots__ = ("array", "block")
+
+    def __init__(self, array: np.ndarray, block: np.ndarray | None = None):
         self.array = array
+        self.block = block
 
 
 def _frozen(values, size: int | None = None, dtype=np.complex128) -> np.ndarray:
@@ -101,8 +106,9 @@ class StateVector(_Layout):
 
     def __post_init__(self):
         super().__post_init__()
+        block = self.amps.block if isinstance(self.amps, _Owned) else None
         amps = _frozen(self.amps, prod(self.dims))
-        _check_normalized(amps)
+        _check_normalized(amps if block is None else block)
         object.__setattr__(self, "amps", amps)
 
     def tensor_view(self) -> np.ndarray:
@@ -131,6 +137,11 @@ class SupportState(_Layout):
 
     def __post_init__(self):
         super().__post_init__()
+        given = self.indices.array if isinstance(self.indices, _Owned) else np.asarray(self.indices)
+        # The cast to np.intp would truncate 2.7 to 2; an empty list reads as
+        # floats, and the norm check refuses it.
+        if given.size and given.dtype.kind not in "iu":
+            raise ValueError(f"support indices must be integers, not {given.dtype}")
         indices = _frozen(self.indices, dtype=np.intp)
         amps = _frozen(self.amps, indices.size)
         _check_normalized(amps)  # so the support is not empty

@@ -1,6 +1,7 @@
 """Distributed protocol: step operators, state evolution, transcripts, ledger."""
 
 import json
+import os
 import tracemalloc
 
 import numpy as np
@@ -10,8 +11,10 @@ from numpy.testing import assert_allclose
 from oracle_locc.locc import (
     BASIS_STATE_TOL,
     OWNERS,
+    _FRESH_PAGES_BYTES,
     LocalParties,
     SUBSYSTEM_ORDER,
+    _with_ancillas,
     ab_substate,
     authorized,
     build_locc_script,
@@ -390,6 +393,48 @@ class TestSupportPath:
         # A dense state before a is measured would double that by itself.
         assert peak < 1.5 * final.amps.nbytes
         assert peak <= run_bytes(32, 32, 32)
+
+
+def resident_bytes() -> int:
+    with open("/proc/self/statm") as fh:
+        return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+
+class TestWithAncillas:
+    """The returned state: fresh zero pages from _FRESH_PAGES_BYTES, its norm checked on the block."""
+
+    @pytest.mark.parametrize("M", [8, 32])
+    def test_equals_the_zeros_scatter_on_each_side_of_the_threshold(self, M):
+        assert (16 * M**4 >= _FRESH_PAGES_BYTES) == (M == 32)
+        rng = np.random.default_rng(M)
+        ab = random_state((M, M), ("A", "B"), rng).tensor_view()
+        state = _with_ancillas(ab, M, 3, 5)
+        expected = np.zeros((M, M, M, M), dtype=np.complex128)
+        expected[:, 3, :, 5] = ab
+        assert state.dims == (M, M, M, M) and state.labels == SUBSYSTEM_ORDER
+        assert state.amps.tobytes() == expected.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            state.amps[0] = 1.0
+
+    @pytest.mark.parametrize("M", [8, 32])
+    @pytest.mark.parametrize("spoil", [lambda ab: 2 * ab, lambda ab: np.where(ab == ab[0, 0], np.nan, ab)],
+                             ids=["norm 4", "NaN"])
+    def test_a_block_that_is_not_normalized_is_refused(self, M, spoil):
+        ab = spoil(random_state((M, M), ("A", "B"), np.random.default_rng(1)).tensor_view())
+        with pytest.raises(ValueError, match="not normalized"):
+            _with_ancillas(ab, M, 0, M - 1)
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="reads Linux's /proc/self/statm")
+    def test_a_large_returned_state_is_resident_only_where_written(self):
+        M = 64
+        f = FunctionTable(M, M, tuple((5 * x + 3) % M for x in range(M)))
+        inp = random_state((M, M), ("A", "B"), np.random.default_rng(64))
+        run_locc(f, inp, 0)  # the allocator now holds the run's transient arrays
+        before = resident_bytes()
+        final, _, _ = run_locc(f, inp, 1)
+        grown = resident_bytes() - before
+        assert final.amps.nbytes == 256 << 20
+        assert grown < 32 << 20, f"resident memory grew {grown / 2**20:.0f} MiB"
 
 
 class TestRunLocc:

@@ -640,6 +640,16 @@ class TestRefereeEnforcement:
         net.hello(net.bob)
         assert isinstance(net.referee_error(), HandshakeMismatch)
 
+    @pytest.mark.parametrize("sender", ["bob", "referee"])
+    def test_handshake_hello_with_a_forged_sender(self, sender):
+        net = RefereeHarness(identity_table(2))
+        payload = {"role": "alice", "m": 2, "n": 2, "f_sha256": net.f.sha256()}
+        net.alice.send("HANDSHAKE", payload, sender=sender)
+        net.hello(net.bob)
+        with pytest.raises(HandshakeMismatch, match=f"claims sender '{sender}'"):
+            net.alice.recv()
+        assert isinstance(net.referee_error(), HandshakeMismatch)
+
     def test_handshake_ready_instead_of_hello(self):
         net = RefereeHarness(identity_table(2))
         net.alice.send("HANDSHAKE", {"status": "ready"})
@@ -713,6 +723,42 @@ class TestPartyFailure:
             with pytest.raises(TransportError, match="^alice failed: WireFormatError: x") as caught:
                 conn.recv()
             assert len(str(caught.value)) <= MAX_ERROR_TEXT
+
+
+class TestPartyChecksTheReferee:
+    """PartyEndpoint against a scripted referee whose frames are queued before the party runs."""
+
+    @staticmethod
+    def alice_against(referee_frames):
+        f = identity_table(2)
+        referee_side, alice_side = QueueChannel.pair(1.0)
+        referee = Connection(referee_side, "referee")
+        referee.send("HANDSHAKE", {"status": "ready"})
+        for kind, payload, sender in referee_frames:
+            referee.send(kind, payload, sender=sender)
+        endpoint = netsim.PartyEndpoint("alice", f, Connection(alice_side, "alice"))
+        return endpoint, referee
+
+    @pytest.mark.parametrize("sender, subsystem", [("bob", "a"), ("alice", "a"), ("referee", "A")])
+    def test_measure_result_from_another_sender_or_for_another_subsystem(self, sender, subsystem):
+        endpoint, referee = self.alice_against(
+            [("MEASURE_RESULT", {"subsystem": subsystem, "outcome": 1}, sender)])
+        with pytest.raises(ProtocolOrderError, match="expected the referee's result for a"):
+            endpoint.run()
+        assert endpoint.known == {}
+        kinds = [referee.recv().kind for _ in range(3)]
+        assert kinds == ["HANDSHAKE", "OP_REQUEST", "MEASURE_REQUEST"]
+        with pytest.raises(ProtocolOrderError, match="expected the referee's result"):
+            referee.recv()  # the party's ERROR frame names the cause
+
+    def test_the_referees_result_is_taken(self):
+        endpoint, referee = self.alice_against(
+            [("MEASURE_RESULT", {"subsystem": "a", "outcome": 1}, None),
+             ("CLASSICAL_VALUE", {"value": 0, "bits": 1}, "bob")])
+        assert endpoint.run() == {"r": 1, "s": 0}
+        kinds = [referee.recv().kind for _ in range(5)]
+        assert kinds == ["HANDSHAKE", "OP_REQUEST", "MEASURE_REQUEST", "CLASSICAL_VALUE", "OP_REQUEST"]
+        referee.wait_closed()
 
 
 THREE_CYCLE = FunctionTable(3, 3, (1, 2, 0))

@@ -406,6 +406,10 @@ class TestSupportState:
         ([0, 1], [np.nan, 0.8], "not normalized"),
         ([], [], "not normalized"),
         ([0, 1, 2], [0.6, 0.8], "length"),
+        ([0.9, 2.7], [0.6, 0.8], "must be integers"),  # np.intp would truncate them to [0, 2]
+        (np.array([1.0, 4.0]), [0.6, 0.8], "must be integers"),
+        ([False, True], [0.6, 0.8], "must be integers"),
+        (np.array([1, 4], dtype=complex), [0.6, 0.8], "must be integers"),
     ])
     def test_invalid_supports_are_refused(self, indices, amps, match):
         with pytest.raises(ValueError, match=match):

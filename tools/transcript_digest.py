@@ -22,7 +22,8 @@ and JSON report of `verify --seed 3` at the default bounds and at
 32 x 32 permutation and a 6 x 5 table that is not one.  It also runs one
 random permutation each at M = 16, 32 and 64 (numpy's default_rng([2024, M])
 draws the table and the input) through run_locc with seed 0, and keeps r,
-s and a digest of the final amplitudes.
+s, a digest of the final amplitudes and, where /proc/self/statm exists
+(Linux), how many MiB the resident set grew while the final state is alive.
 
 `compare` prints how many transcripts differ in each top-level field and
 each ledger field, with the largest difference of each ledger field in
@@ -36,7 +37,8 @@ in AFTER, or if a protocol's decoded value or success flag differs.  It
 prints the frame digest of each sender and the frame count of each kind,
 before and after, but does not fail on them, since a change of the wire
 bytes can be intended.  It prints r, s and the amplitude digest of each
-of the three larger runs, and exits 1 if r or s differs.  It prints every
+of the three larger runs, and exits 1 if r or s differs; it prints their
+resident growth before and after, but never fails on it.  It prints every
 check whose max_deviation differs between the two `verify` reports, and
 exits 1 if an exit code, a check name, its cases or passed flag, another
 report field, or any `capacities` field differs.
@@ -49,6 +51,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import sys
 import threading
 from collections import Counter
@@ -67,6 +70,15 @@ CAPACITY_TABLES = {
     "permutation 32x32": {"M": 32, "N": 32, "table": [(5 * x + 3) % 32 for x in range(32)]},
     "6x5": {"M": 6, "N": 5, "table": [x * x % 5 for x in range(6)]},
 }
+
+
+def resident_mib() -> float | None:
+    """The resident set of this process in MiB, or None without /proc/self/statm."""
+    try:
+        with open("/proc/self/statm") as fh:
+            return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE") / 2**20
+    except OSError:
+        return None
 
 
 def record(src: str, out_path: str) -> None:
@@ -137,8 +149,11 @@ def record(src: str, out_path: str) -> None:
     for M in LARGE_SIZES:
         large_rng = np.random.default_rng([SEED, M])
         f = FunctionTable(M, M, tuple(int(v) for v in large_rng.permutation(M)))
-        state, transcript, _ = locc.run_locc(f, quantum.random_state((M, M), ("A", "B"), large_rng), 0)
-        large[str(M)] = {"r": transcript.r, "s": transcript.s,
+        inp = quantum.random_state((M, M), ("A", "B"), large_rng)
+        before = resident_mib()
+        state, transcript, _ = locc.run_locc(f, inp, 0)
+        grown = None if before is None else round(resident_mib() - before, 1)
+        large[str(M)] = {"r": transcript.r, "s": transcript.s, "resident_mib": grown,
                          "amps": hashlib.sha256(state.amps.tobytes()).hexdigest()[:16]}
 
     verify = {name: cli_report("verify", *args) for name, args in VERIFY_ARGS.items()}
@@ -154,7 +169,8 @@ def record(src: str, out_path: str) -> None:
     print(f"{len(transcripts)} transcripts; amps {result['amps']}; "
           f"run_in_process identical: {in_process_same}; {sum(kinds.values())} frames; "
           "protocol runs: " + ", ".join(f"{name} {len(entries)}" for name, entries in runs.items())
-          + "; large runs " + ", ".join(f"M={M} amps {run['amps']}" for M, run in large.items())
+          + "; large runs " + ", ".join(f"M={M} amps {run['amps']} resident +{run['resident_mib']} MiB"
+                                  for M, run in large.items())
           + f"; verify reports {len(verify)}; capacities reports {len(capacities)}")
 
 
@@ -209,7 +225,8 @@ def compare_large(before: dict, after: dict) -> bool:
         new = after["large"].get(M, {})
         differ = (old["r"], old["s"]) != (new.get("r"), new.get("s"))
         print(f"large run M={M}: r, s {'DIFFER' if differ else 'same'}; "
-              f"amps {old['amps']} -> {new.get('amps')}")
+              f"amps {old['amps']} -> {new.get('amps')}; resident growth MiB "
+              f"{old.get('resident_mib')} -> {new.get('resident_mib')}")
         any_differ |= differ
     return any_differ
 
