@@ -492,12 +492,14 @@ class Referee:
             submitted = self._monomial_phases(msg.payload, step.operation, expected)
             scripted = expected.phases
         else:
-            submitted, scripted = decode_matrix(msg.payload["matrix"]), expected.matrix
-            if submitted.shape != scripted.shape:
+            # The shape first: reading expected.matrix builds the d x d matrix.
+            submitted, shape = decode_matrix(msg.payload["matrix"]), (expected.dim, expected.dim)
+            if submitted.shape != shape:
                 raise ProtocolOrderError(
                     f"rejected operator: {step.operation} has shape {submitted.shape}, "
-                    f"expected {scripted.shape}"
+                    f"expected {shape}"
                 )
+            scripted = expected.matrix
         dev = np.max(np.abs(submitted - scripted))
         if not dev <= UNITARY_TOL:  # written so that NaN fails too
             raise ProtocolOrderError(
@@ -561,8 +563,9 @@ class PartyEndpoint:
                 {"role": self.role, "m": self.f.M, "n": self.f.N, "f_sha256": self.f.sha256()},
             )
             ready = self.conn.recv(expect=("HANDSHAKE",))
-            if ready.payload.get("status") != "ready":
-                raise HandshakeMismatch(f"unexpected handshake reply {ready.payload}")
+            if (ready.sender, ready.payload.get("status")) != ("referee", "ready"):
+                raise HandshakeMismatch(f"unexpected handshake reply {ready.payload} "
+                                        f"from {ready.sender!r}")
             width = wire_bits(build_partition(self.f).n_values)
             for step in build_locc_script(self.f):
                 self._run_step(step, width)
@@ -577,6 +580,9 @@ class PartyEndpoint:
         if step.party != self.role:
             if step.action == "send":
                 msg = self.conn.recv(expect=("CLASSICAL_VALUE",))
+                if msg.sender != step.party:  # the referee relays under the sender's name
+                    raise ProtocolOrderError(
+                        f"expected {step.party}'s {step.value}, got one from {msg.sender!r}")
                 self.known[step.value] = msg.payload["value"]
             return
         if step.action == "apply":

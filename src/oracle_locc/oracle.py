@@ -99,15 +99,14 @@ def constant_table(M: int, N: int, value: int = 0) -> FunctionTable:
 class Partition:
     """Level-set structure of a function table.
 
-    values holds the distinct outputs in ascending order; classes[j] is the
-    sorted tuple of inputs mapped to values[j]; sizes[j] its cardinality and
-    reps[j] its smallest element.  level is a read-only index array over the
-    domain: level[x] is the j with f(x) = values[j].
+    values holds the distinct outputs in ascending order; sizes[j] is the
+    number of inputs mapped to values[j] and reps[j] the smallest of them.
+    level is a read-only index array over the domain: level[x] is the j with
+    f(x) = values[j], so the level set of values[j] is np.flatnonzero(level == j).
     """
 
     n_values: int
     values: tuple[int, ...]
-    classes: tuple[tuple[int, ...], ...]
     sizes: tuple[int, ...]
     reps: tuple[int, ...]
     level: np.ndarray
@@ -125,11 +124,8 @@ def build_partition(f: FunctionTable) -> Partition:
         values, reps, level, sizes = np.unique(
             f.table, return_index=True, return_inverse=True, return_counts=True)
         level.setflags(write=False)
-        order = np.argsort(level, kind="stable").tolist()  # class by class, each ascending
-        ends, sizes = np.cumsum(sizes).tolist(), sizes.tolist()
-        classes = tuple(tuple(order[end - size:end]) for end, size in zip(ends, sizes))
-        partition = Partition(len(values), tuple(values.tolist()), classes,
-                              tuple(sizes), tuple(reps.tolist()), level)
+        partition = Partition(len(values), tuple(values.tolist()), tuple(sizes.tolist()),
+                              tuple(reps.tolist()), level)
         _PARTITIONS[f] = partition
     return partition
 

@@ -128,8 +128,8 @@ class StateVector(_Layout):
 class SupportState(_Layout):
     """Normalized pure state held as its support: ascending flat indices and their amplitudes.
 
-    Every other amplitude is zero.  apply_local (monomial operators only) and the
-    measurement functions take one.
+    Every other amplitude is zero.  apply_local (a monomial operator on its
+    leading subsystems, in order) and the measurement functions take one.
     """
 
     indices: np.ndarray
@@ -357,24 +357,20 @@ def apply_local(state: StateVector | SupportState, op: LocalOperator) -> StateVe
 
 
 def _remap(state: SupportState, op: LocalOperator, axes: list[int]) -> SupportState:
-    """A monomial op on a support state: an index moves to the row whose source is its column.
+    """A monomial op on the leading subsystems of a support state, in order.
 
-    The column is one digit of the flat index, or one per target if they are
-    not adjacent and ascending; the row's phase multiplies as in the gather.
+    An index's column is its leading digit; the index moves to the row whose
+    source is that column, and the row's phase multiplies as in the gather.
     """
     if op.source is None:
         raise ValueError("a SupportState takes only an operator given by source and phases")
-    if axes == list(range(axes[0], axes[0] + len(axes))):
-        strides, sizes = [prod(state.dims[axes[-1] + 1 :])], [op.dim]
-    else:
-        strides, sizes = [prod(state.dims[i + 1 :]) for i in axes], [state.dims[i] for i in axes]
-    # A digit that leads the flat index needs no remainder, which numpy takes slowly.
-    old = [state.indices // stride % d if stride * d < prod(state.dims) else state.indices // stride
-           for stride, d in zip(strides, sizes)]
-    column = old[0] if len(old) == 1 else np.ravel_multi_index(old, sizes)
+    if axes != list(range(len(axes))):
+        raise ValueError(f"a SupportState takes an operator only on its leading subsystems, "
+                         f"in order, not on {op.target_labels}")
+    stride = prod(state.dims[len(axes) :])
+    column = state.indices // stride
     row = np.argsort(op.source)[column]  # the inverse permutation: source[row] = column
-    new = [row] if len(old) == 1 else np.unravel_index(row, sizes)
-    indices = sum(((n - k) * stride for n, k, stride in zip(new, old, strides)), state.indices)
+    indices = state.indices + (row - column) * stride
     # Indices with equal target digits keep their order, so timsort merges runs (two per x in step 1).
     order = np.argsort(indices, kind="stable")
     amps = state.amps * op.phases[row]

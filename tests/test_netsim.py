@@ -554,6 +554,25 @@ class TestRefereeEnforcement:
             net.alice.recv()
         assert isinstance(net.referee_error(), ProtocolOrderError)
 
+    def test_matrix_shape_is_checked_before_the_scripted_matrix_is_built(self):
+        # At M = N = n_f = 64 the scripted step-1 matrix is 4096 x 4096: 256 MiB.
+        net = RefereeHarness(identity_table(64))
+        net.handshake()
+        payload = {"operation": "step1_controlled_shift", "targets": ["A", "a"],
+                   "matrix": [[[1.0, 0.0]]]}
+        tracemalloc.start()
+        try:
+            net.alice.send("OP_REQUEST", payload)
+            with pytest.raises(ProtocolOrderError,
+                               match=r"has shape \(1, 1\), expected \(4096, 4096\)"):
+                net.alice.recv()
+            error = net.referee_error()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert isinstance(error, ProtocolOrderError)
+        assert peak < 32 << 20
+
     def test_bob_running_his_steps_out_of_order(self):
         net = RefereeHarness(identity_table(2))
         net.handshake()
@@ -729,11 +748,11 @@ class TestPartyChecksTheReferee:
     """PartyEndpoint against a scripted referee whose frames are queued before the party runs."""
 
     @staticmethod
-    def alice_against(referee_frames):
+    def alice_against(referee_frames, ready_sender=None):
         f = identity_table(2)
         referee_side, alice_side = QueueChannel.pair(1.0)
         referee = Connection(referee_side, "referee")
-        referee.send("HANDSHAKE", {"status": "ready"})
+        referee.send("HANDSHAKE", {"status": "ready"}, sender=ready_sender)
         for kind, payload, sender in referee_frames:
             referee.send(kind, payload, sender=sender)
         endpoint = netsim.PartyEndpoint("alice", f, Connection(alice_side, "alice"))
@@ -750,6 +769,28 @@ class TestPartyChecksTheReferee:
         assert kinds == ["HANDSHAKE", "OP_REQUEST", "MEASURE_REQUEST"]
         with pytest.raises(ProtocolOrderError, match="expected the referee's result"):
             referee.recv()  # the party's ERROR frame names the cause
+
+    @pytest.mark.parametrize("sender", ["referee", "alice"])
+    def test_relayed_value_from_another_sender(self, sender):
+        endpoint, referee = self.alice_against(
+            [("MEASURE_RESULT", {"subsystem": "a", "outcome": 1}, None),
+             ("CLASSICAL_VALUE", {"value": 0, "bits": 1}, sender)])
+        with pytest.raises(ProtocolOrderError, match=f"expected bob's s, got one from '{sender}'"):
+            endpoint.run()
+        assert endpoint.known == {"r": 1}
+        kinds = [referee.recv().kind for _ in range(4)]
+        assert kinds == ["HANDSHAKE", "OP_REQUEST", "MEASURE_REQUEST", "CLASSICAL_VALUE"]
+        with pytest.raises(ProtocolOrderError, match="expected bob's s"):
+            referee.recv()
+
+    @pytest.mark.parametrize("sender", ["bob", "alice"])
+    def test_ready_from_another_sender(self, sender):
+        endpoint, referee = self.alice_against([], ready_sender=sender)
+        with pytest.raises(HandshakeMismatch, match=f"from '{sender}'"):
+            endpoint.run()
+        assert referee.recv().kind == "HANDSHAKE"
+        with pytest.raises(HandshakeMismatch, match="unexpected handshake reply"):
+            referee.recv()
 
     def test_the_referees_result_is_taken(self):
         endpoint, referee = self.alice_against(

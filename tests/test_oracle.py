@@ -107,7 +107,6 @@ class TestPartition:
         ref_values, ref_classes = ref_partition(f)
         assert partition.n_values == len(ref_values) == len(set(f.table))
         assert list(partition.values) == ref_values
-        assert [list(c) for c in partition.classes] == ref_classes
         assert list(partition.sizes) == [len(c) for c in ref_classes]
         assert list(partition.reps) == [min(c) for c in ref_classes]
 
@@ -121,15 +120,14 @@ class TestPartition:
         with pytest.raises(ValueError, match="read-only"):
             partition.level[0] = 0
         # Every other field is Python ints, so reports built from it serialise.
-        json.dumps([partition.n_values, partition.values, partition.classes,
-                    partition.sizes, partition.reps])
+        json.dumps([partition.n_values, partition.values, partition.sizes, partition.reps])
 
     @given(tables_strategy)
     @settings(max_examples=50, deadline=None)
     def test_classes_partition_the_domain(self, f):
         partition = build_partition(f)
-        seen = sorted(x for cls in partition.classes for x in cls)
-        assert seen == list(range(f.M))
+        assert np.bincount(partition.level).tolist() == list(partition.sizes)
+        assert sum(partition.sizes) == f.M
         assert partition.n_values <= min(f.M, f.N)
 
     def test_partition_is_cached_per_table_object(self, rng):
@@ -139,9 +137,24 @@ class TestPartition:
             assert build_partition(f) is partition
             fresh = build_partition(FunctionTable(f.M, f.N, f.table))  # another object: built anew
             assert fresh is not partition
-            for field in ("n_values", "values", "classes", "sizes", "reps"):
+            for field in ("n_values", "values", "sizes", "reps"):
                 assert getattr(fresh, field) == getattr(partition, field)
             assert np.array_equal(fresh.level, partition.level)
+
+    @pytest.mark.parametrize("M", [1, 5, 64, 4096])
+    def test_fields_are_the_bits_of_one_np_unique(self, rng, M):
+        # As built before the level sets were dropped as tuples of inputs.
+        for N in (1, 3, M, 2 * M):
+            f = FunctionTable(M, N, tuple(rng.integers(0, N, size=M).tolist()))
+            values, reps, level, sizes = np.unique(
+                f.table, return_index=True, return_inverse=True, return_counts=True)
+            partition = build_partition(f)
+            assert partition.n_values == len(values)
+            for field, expected in [("values", values), ("sizes", sizes), ("reps", reps)]:
+                got = getattr(partition, field)
+                assert got == tuple(expected.tolist()) and all(type(v) is int for v in got)
+            assert partition.level.dtype == level.dtype
+            assert partition.level.tobytes() == level.tobytes()
 
     def test_partition_cache_keeps_no_table_alive(self):
         f = FunctionTable(3, 2, (1, 0, 1))

@@ -344,9 +344,8 @@ class TestSupportState:
             dims = random_layout(rng, 4)
             support = random_support(rng, dims, self.LABELS)
             count = int(rng.integers(1, 3))
-            axes = [int(i) for i in rng.choice(4, size=count, replace=False)]  # in any order
-            block = int(np.prod([dims[i] for i in axes]))
-            targets = tuple(self.LABELS[i] for i in axes)
+            block = int(np.prod(dims[:count]))
+            targets = self.LABELS[:count]  # the leading subsystems, in order
             op = LocalOperator(targets[0] if count == 1 else targets, source=rng.permutation(block),
                                phases=np.exp(2j * np.pi * rng.random(block)))
             out = apply_local(support, op)
@@ -391,6 +390,16 @@ class TestSupportState:
             dense_outcome, dense_post = measure_computational(dense_form(support), label, seed)
             assert outcome == dense_outcome
             assert post.amps.tobytes() == dense_post.amps.tobytes()
+
+    @pytest.mark.parametrize("targets", ["a", "b", ("a", "A"), ("a", "B"), ("B", "b"), ("A", "B")],
+                             ids=["second", "last", "reversed", "inner pair", "trailing pair", "apart"])
+    def test_an_operator_off_the_leading_subsystems_is_refused(self, rng, targets):
+        support = random_support(rng, (2, 3, 2, 3), self.LABELS)
+        labels = (targets,) if isinstance(targets, str) else targets
+        d = int(np.prod([support.dim_of(x) for x in labels]))
+        op = LocalOperator(targets, source=rng.permutation(d), phases=np.ones(d))
+        with pytest.raises(ValueError, match="leading subsystems"):
+            apply_local(support, op)
 
     def test_a_dense_operator_is_refused(self, rng):
         support = random_support(rng, (2, 3), ("A", "B"))

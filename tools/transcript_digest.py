@@ -42,6 +42,11 @@ resident growth before and after, but never fails on it.  It prints every
 check whose max_deviation differs between the two `verify` reports, and
 exits 1 if an exit code, a check name, its cases or passed flag, another
 report field, or any `capacities` field differs.
+
+`collect` returns the record of the importable package, optionally on
+fewer tables and reports, and `compare_records` compares two loaded
+records; tests/test_golden_record.py holds each checkout to a committed
+subset with them.
 """
 
 from __future__ import annotations
@@ -81,8 +86,28 @@ def resident_mib() -> float | None:
         return None
 
 
+def ulps(x: float, y: float) -> float:
+    """|x - y| in ulps of the larger value, or of 1.0 when both are smaller."""
+    return abs(x - y) / math.ulp(max(abs(x), abs(y), 1.0))
+
+
 def record(src: str, out_path: str) -> None:
     sys.path.insert(0, src)
+    result = collect()
+    with open(out_path, "w") as fh:
+        json.dump(result, fh)
+    kinds, runs, large = result["frame_kinds"], result["protocols"], result["large"]
+    print(f"{len(result['transcripts'])} transcripts; amps {result['amps']}; "
+          f"run_in_process identical: {result['in_process_same']}; {sum(kinds.values())} frames; "
+          "protocol runs: " + ", ".join(f"{name} {len(entries)}" for name, entries in runs.items())
+          + "; large runs " + ", ".join(f"M={M} amps {run['amps']} resident +{run['resident_mib']} MiB"
+                                  for M, run in large.items())
+          + f"; verify reports {len(result['verify'])}; capacities reports {len(result['capacities'])}")
+
+
+def collect(tables: int = TABLES, large_sizes: tuple = LARGE_SIZES, verify_args: dict = VERIFY_ARGS,
+            capacity_tables: dict = CAPACITY_TABLES) -> dict:
+    """The record of the importable oracle_locc on the first `tables` tables and the given runs."""
     import numpy as np
 
     from oracle_locc import cli, locc, netsim, protocols, quantum
@@ -100,7 +125,7 @@ def record(src: str, out_path: str) -> None:
 
     rng = np.random.default_rng(SEED)
     transcripts, amps, in_process_same = [], hashlib.sha256(), True
-    for _ in range(TABLES):
+    for _ in range(tables):
         M, N = int(rng.integers(1, 9)), int(rng.integers(1, 9))
         f = FunctionTable(M, N, tuple(int(v) for v in rng.integers(0, N, size=M)))
         inp = quantum.random_state((M, N), ("A", "B"), rng)
@@ -146,7 +171,7 @@ def record(src: str, out_path: str) -> None:
         return {"exit": code, "report": json.loads(out.getvalue())}
 
     large = {}
-    for M in LARGE_SIZES:
+    for M in large_sizes:
         large_rng = np.random.default_rng([SEED, M])
         f = FunctionTable(M, M, tuple(int(v) for v in large_rng.permutation(M)))
         inp = quantum.random_state((M, M), ("A", "B"), large_rng)
@@ -156,22 +181,14 @@ def record(src: str, out_path: str) -> None:
         large[str(M)] = {"r": transcript.r, "s": transcript.s, "resident_mib": grown,
                          "amps": hashlib.sha256(state.amps.tobytes()).hexdigest()[:16]}
 
-    verify = {name: cli_report("verify", *args) for name, args in VERIFY_ARGS.items()}
+    verify = {name: cli_report("verify", *args) for name, args in verify_args.items()}
     capacities = {name: cli_report("capacities", "--f", json.dumps(table))
-                  for name, table in CAPACITY_TABLES.items()}
-    result = {"transcripts": transcripts, "amps": amps.hexdigest()[:16],
-              "in_process_same": in_process_same, "protocols": runs,
-              "frames": {sender: h.hexdigest()[:16] for sender, h in sorted(frames.items())},
-              "frame_kinds": dict(sorted(kinds.items())), "large": large,
-              "verify": verify, "capacities": capacities}
-    with open(out_path, "w") as fh:
-        json.dump(result, fh)
-    print(f"{len(transcripts)} transcripts; amps {result['amps']}; "
-          f"run_in_process identical: {in_process_same}; {sum(kinds.values())} frames; "
-          "protocol runs: " + ", ".join(f"{name} {len(entries)}" for name, entries in runs.items())
-          + "; large runs " + ", ".join(f"M={M} amps {run['amps']} resident +{run['resident_mib']} MiB"
-                                  for M, run in large.items())
-          + f"; verify reports {len(verify)}; capacities reports {len(capacities)}")
+                  for name, table in capacity_tables.items()}
+    return {"transcripts": transcripts, "amps": amps.hexdigest()[:16],
+            "in_process_same": in_process_same, "protocols": runs,
+            "frames": {sender: h.hexdigest()[:16] for sender, h in sorted(frames.items())},
+            "frame_kinds": dict(sorted(kinds.items())), "large": large,
+            "verify": verify, "capacities": capacities}
 
 
 def compare(before_path: str, after_path: str) -> int:
@@ -179,6 +196,11 @@ def compare(before_path: str, after_path: str) -> int:
         before = json.load(fh)
     with open(after_path) as fh:
         after = json.load(fh)
+    return compare_records(before, after)
+
+
+def compare_records(before: dict, after: dict) -> int:
+    """compare on two loaded records; a record without amplitudes or digests prints them as None."""
     pairs = list(zip(before["transcripts"], after["transcripts"]))
     if len(before["transcripts"]) != len(after["transcripts"]):
         print("transcript counts differ:", len(before["transcripts"]), len(after["transcripts"]))
@@ -192,15 +214,13 @@ def compare(before_path: str, after_path: str) -> int:
             x, y = a["ledger"][key], b["ledger"][key]
             differs[f"ledger.{key}"] += x != y
             if x != y:
-                gap = abs(x - y)
-                ulps = gap / math.ulp(max(abs(x), abs(y), 1.0))
                 old = largest.get(f"ledger.{key}", (0.0, 0.0))
-                largest[f"ledger.{key}"] = (max(old[0], gap), max(old[1], ulps))
+                largest[f"ledger.{key}"] = (max(old[0], abs(x - y)), max(old[1], ulps(x, y)))
     for key, count in differs.items():
         gap = largest.get(key)
         tail = f" (largest: {gap[0]:.3g} absolute, {gap[1]:.0f} ulp)" if gap else ""
         print(f"{key}: {count} of {len(pairs)} differ{tail}")
-    print("amps digest:", before["amps"], "->", after["amps"])
+    print("amps digest:", before.get("amps"), "->", after.get("amps"))
     print("run_in_process identical:", before["in_process_same"], "->", after["in_process_same"])
     for key in ("frames", "frame_kinds"):
         old, new = before.get(key, {}), after.get(key, {})
@@ -225,7 +245,7 @@ def compare_large(before: dict, after: dict) -> bool:
         new = after["large"].get(M, {})
         differ = (old["r"], old["s"]) != (new.get("r"), new.get("s"))
         print(f"large run M={M}: r, s {'DIFFER' if differ else 'same'}; "
-              f"amps {old['amps']} -> {new.get('amps')}; resident growth MiB "
+              f"amps {old.get('amps')} -> {new.get('amps')}; resident growth MiB "
               f"{old.get('resident_mib')} -> {new.get('resident_mib')}")
         any_differ |= differ
     return any_differ
@@ -243,7 +263,7 @@ def compare_protocols(before: dict, after: dict) -> bool:
         for a, b in zip(runs, after[name]):
             differ += (a.get("decoded"), a.get("success")) != (b.get("decoded"), b.get("success"))
             amp_gap = max([amp_gap] + [abs(complex(*x) - complex(*y))
-                                       for x, y in zip(a["amps"], b["amps"])])
+                                       for x, y in zip(a.get("amps", ()), b.get("amps", ()))])
             if "ebits" in a:
                 ebits_gap = max(ebits_gap, abs(a["ebits"] - b["ebits"]))
         head = (f"largest ebits difference {ebits_gap:.3g}" if "ebits" in runs[0] else
