@@ -20,6 +20,7 @@ import json
 import logging
 import os
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -156,13 +157,20 @@ def _decode_deviation(result, expected) -> float:
     return dev if result.decoded == expected else max(dev, 1.0)
 
 
-def _check_tables(tables) -> list[_Check]:
-    """Five per-table checks in one pass: each table's U, SVD and decode states are built once."""
+def _check_tables(tables, rng: np.random.Generator) -> list[_Check]:
+    """Six per-table checks in one pass: each table's U, SVD, decode states and operators are built once.
+
+    Two random inputs per table each take one deferred walk; its slice
+    [:, r, :, s] is the (r, s) branch, whose probability is the slice's
+    weight and whose fidelity with the direct oracle action is
+    |<expected|slice>|^2 / weight.
+    """
     structure = _Check("oracle_matrix_is_permutation_unitary")
     schmidt = _Check("schmidt_rank_and_reconstruction")
     entangle = _Check("entangle_ebits_equal_log2_n_f")
     forward = _Check("forward_protocol_decodes_exactly")
     backward = _Check("backward_protocol_decodes_exactly")
+    locc = _Check("locc_branches_match_direct_oracle")
     for f in tables:
         n = build_partition(f).n_values
         U = oracle_matrix(f)
@@ -188,7 +196,18 @@ def _check_tables(tables) -> list[_Check]:
         for s in range(n):
             result = send_backward(f, s)
             backward.record(max(_decode_deviation(result, s), result.outcome_probabilities[-1]))
-    return [structure, schmidt, entangle, forward, backward]
+
+        operators = deferred_operators(f)
+        for _ in range(2):
+            state = random_state((f.M, f.N), ("A", "B"), rng)
+            expected = apply_oracle(f, state).tensor_view()
+            branches = apply_deferred(f, state, operators).tensor_view()
+            weights = np.einsum("xrys,xrys->rs", branches.conj(), branches).real
+            overlaps = np.einsum("xy,xrys->rs", expected.conj(), branches)
+            fid_dev = 1.0 - np.abs(overlaps) ** 2 / weights
+            prob_dev = np.abs(weights - 1.0 / n**2)
+            locc.record(np.max(np.maximum(fid_dev, prob_dev)), count=n * n)
+    return [structure, schmidt, entangle, forward, backward, locc]
 
 
 def _check_bidirectional(max_degree: int) -> _Check:
@@ -197,29 +216,6 @@ def _check_bidirectional(max_degree: int) -> _Check:
         for r in range(f.M):
             for s, result in enumerate(send_bidirectional_all(f, r)):
                 check.record(_decode_deviation(result, (r, s)))
-    return check
-
-
-def _check_locc(tables, inputs_per_table: int, rng: np.random.Generator) -> _Check:
-    """Every (r, s) branch, as slice [:, r, :, s] of one deferred walk per input.
-
-    Each table's deferred operators are built once and walk every input's
-    [x, r, y, s] amplitudes.  The branch probability is the slice's weight,
-    and its fidelity with the direct oracle action is |<expected|slice>|^2 / weight.
-    """
-    check = _Check("locc_branches_match_direct_oracle")
-    for f in tables:
-        n = build_partition(f).n_values
-        operators = deferred_operators(f)
-        for _ in range(inputs_per_table):
-            state = random_state((f.M, f.N), ("A", "B"), rng)
-            expected = apply_oracle(f, state).tensor_view()
-            branches = apply_deferred(f, state, operators).tensor_view()
-            weights = np.einsum("xrys,xrys->rs", branches.conj(), branches).real
-            overlaps = np.einsum("xy,xrys->rs", expected.conj(), branches)
-            fid_dev = 1.0 - np.abs(overlaps) ** 2 / weights
-            prob_dev = np.abs(weights - 1.0 / n**2)
-            check.record(np.max(np.maximum(fid_dev, prob_dev)), count=n * n)
     return check
 
 
@@ -268,10 +264,11 @@ def cmd_verify(args) -> int:
                            f"the dense oracle cap of {MAX_DENSE_ORACLE_DIM}")
         tables = _sweep_tables(args.max_m, args.max_n, args.trials, rng)
     log.info("verifying %d function tables", len(tables))
+    *per_table, locc = _check_tables(tables, rng)
     checks = [
-        *_check_tables(tables),
+        *per_table,
         _check_bidirectional(min(args.max_m, 4) if args.f is None else 3),
-        _check_locc(tables, inputs_per_table=2, rng=rng),
+        locc,
         _check_ledger(tables, rng),
         _check_phase_identity(),
         _check_minimal_oracle(),
@@ -435,6 +432,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_numbers(args) -> None:
+    """The numeric options' ranges, checked before any table is drawn or socket opened."""
+    if getattr(args, "seed", 0) < 0:
+        raise CliError(f"--seed must be a non-negative integer, not {args.seed}")
+    if getattr(args, "trials", 0) < 0:
+        raise CliError(f"--trials must be a non-negative integer, not {args.trials}")
+    if not 0 <= getattr(args, "port", 0) <= 65535:
+        raise CliError(f"--port must be from 0 to 65535, not {args.port}")
+    if not 0 < getattr(args, "timeout", 1.0) <= threading.TIMEOUT_MAX:  # a NaN fails too
+        raise CliError(f"--timeout must be a number of seconds above 0 and at most "
+                       f"{threading.TIMEOUT_MAX:.0f}, not {args.timeout}")
+
+
 def main(argv=None) -> int:
     level = os.environ.get("ORACLE_LOCC_LOG")
     if level:
@@ -445,8 +455,7 @@ def main(argv=None) -> int:
         )
     args = build_parser().parse_args(argv)
     try:
-        if getattr(args, "seed", 0) < 0:  # checked before any table is drawn or socket opened
-            raise CliError(f"--seed must be a non-negative integer, not {args.seed}")
+        _check_numbers(args)
         return args.handler(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -202,7 +202,7 @@ def _with_ancillas(ab: np.ndarray, n: int, r: int, s: int) -> StateVector:
 
     Its norm is checked on the M x N block it writes, the only amplitudes
     that can be nonzero.  A state of _FRESH_PAGES_BYTES or more is built on
-    fresh anonymous pages, so its zeros take no memory.
+    fresh anonymous pages, so its zeros take no memory, read or not.
     """
     M, N = ab.shape
     shape = (M, n, N, n)
@@ -210,7 +210,9 @@ def _with_ancillas(ab: np.ndarray, n: int, r: int, s: int) -> StateVector:
     if nbytes < _FRESH_PAGES_BYTES:
         amps = np.zeros(shape, dtype=np.complex128)
     else:
-        pages = mmap.mmap(-1, nbytes)
+        # Private: an unwritten page then reads as the kernel's zero page; a shared one is allocated.
+        flags = {"flags": mmap.MAP_PRIVATE} if hasattr(mmap, "MAP_PRIVATE") else {}
+        pages = mmap.mmap(-1, nbytes, **flags)
         if hasattr(mmap, "MADV_NOHUGEPAGE"):  # or huge pages set to "always" fault 2 MB an x
             pages.madvise(mmap.MADV_NOHUGEPAGE)
         amps = np.frombuffer(pages, np.complex128).reshape(shape)

@@ -653,8 +653,11 @@ def serve_socket(
     """
     with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as listener:
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listener.bind((host, port))
-        listener.listen(2)
+        try:
+            listener.bind((host, port))
+            listener.listen(2)
+        except OSError as exc:
+            raise TransportError(f"cannot listen on {host}:{port}: {exc}") from exc
         listener.settimeout(timeout)
         if on_listening is not None:
             on_listening(listener.getsockname()[0], listener.getsockname()[1])

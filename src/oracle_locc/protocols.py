@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .oracle import FunctionTable, apply_oracle, build_partition
-from .quantum import LocalOperator, StateVector, apply_local, entanglement_entropy, from_amps
+from .quantum import LocalOperator, StateVector, apply_local, basis_state, entanglement_entropy, from_amps
 
 DECODE_TOL = 1e-10
 
@@ -69,9 +69,9 @@ def entangle_protocol(f: FunctionTable) -> tuple[StateVector, float]:
     function value, leaving a maximally entangled rank-n_f state, so the
     entropy across the A:B cut is log2(n_f) ebits.
     """
-    amps = np.kron(representative_superposition(f), _basis_vec(f.N, 0))
-    initial = from_amps((f.M, f.N), ("A", "B"), amps)
-    final = apply_oracle(f, initial)
+    amps = np.zeros((f.M, f.N), dtype=np.complex128)
+    amps[:, 0] = representative_superposition(f)
+    final = apply_oracle(f, from_amps((f.M, f.N), ("A", "B"), amps))
     return final, entanglement_entropy(final, {"A"})
 
 
@@ -79,8 +79,7 @@ def send_forward(f: FunctionTable, r: int) -> ProtocolResult:
     """Alice sends r by preparing the r-th representative; Bob reads f_r."""
     partition = build_partition(f)
     r = _check_message(r, partition.n_values, "r")
-    amps = np.kron(_basis_vec(f.M, partition.reps[r]), _basis_vec(f.N, 0))
-    final = apply_oracle(f, from_amps((f.M, f.N), ("A", "B"), amps))
+    final = apply_oracle(f, basis_state((f.M, f.N), ("A", "B"), (partition.reps[r], 0)))
     target_probs = np.sum(np.abs(final.tensor_view()) ** 2, axis=0)
     probs = target_probs[list(partition.values)]
     decoded = int(np.argmax(probs))
@@ -209,9 +208,3 @@ def _bidirectional(f: FunctionTable, r: int, messages) -> list[ProtocolResult]:
         success = bool(decoded == (r, s) and abs(probs[r_hat, s_hat] - 1.0) <= DECODE_TOL)
         results.append(ProtocolResult(decoded, success, from_amps((M, M), ("A", "B"), ab), probs))
     return results
-
-
-def _basis_vec(dim: int, index: int) -> np.ndarray:
-    v = np.zeros(dim, dtype=np.complex128)
-    v[index] = 1.0
-    return v

@@ -48,11 +48,11 @@ PER_TABLE_CHECKS = [
     "entangle_ebits_equal_log2_n_f",
     "forward_protocol_decodes_exactly",
     "backward_protocol_decodes_exactly",
+    "locc_branches_match_direct_oracle",
 ]
 CHECK_NAMES = {
     *PER_TABLE_CHECKS,
     "bidirectional_protocol_decodes_exactly",
-    "locc_branches_match_direct_oracle",
     "resource_ledger_accounting",
     "phase_exponential_shifts_basis",
     "minimal_oracle_dressing_matches",
@@ -141,7 +141,7 @@ class TestVerify:
             return OracleSchmidtForm(form.f, form.partition, terms)
 
         def schmidt_check(tables):
-            checks = cli_module._check_tables(tables)
+            checks = cli_module._check_tables(tables, np.random.default_rng(0))
             return next(c for c in checks if c.name == "schmidt_rank_and_reconstruction")
 
         f = FunctionTable(3, 3, (1, 2, 1))
@@ -167,7 +167,7 @@ class TestVerify:
             monkeypatch.setattr(module, name, wrapper)
             monkeypatch.setattr(cli_module, name, wrapper)
         tables = cli_module._sweep_tables(4, 4, 12, np.random.default_rng(5))
-        checks = cli_module._check_tables(tables)
+        checks = cli_module._check_tables(tables, np.random.default_rng(7))
         assert [c.name for c in checks] == PER_TABLE_CHECKS
         assert all(c.passed for c in checks)
         assert counts == {"oracle_matrix": len(tables), "schmidt_values": len(tables)}
@@ -183,7 +183,7 @@ class TestVerify:
         rng = np.random.default_rng(8)
         for f in cli_module._sweep_tables(4, 4, 12, np.random.default_rng(6)):
             calls.clear()
-            assert cli_module._check_locc([f], inputs_per_table=2, rng=rng).passed
+            assert all(c.passed for c in cli_module._check_tables([f], rng))
             assert len(calls) == 3 + 2 * build_partition(f).n_values
 
     def test_wrong_final_state_fails_the_ledger_check(self, monkeypatch, capsys):
@@ -339,6 +339,27 @@ class TestUsageErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: --seed") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ("serve", "--f", IDENTITY2, "--port", "70000"),
+        ("serve", "--f", IDENTITY2, "--port", "-1"),
+        ("connect", "--role", "alice", "--f", IDENTITY2, "--port", "70000"),  # would wrap to 4464
+        ("serve", "--f", IDENTITY2, "--timeout", "-1"),
+        ("serve", "--f", IDENTITY2, "--timeout", "0"),
+        ("connect", "--role", "bob", "--f", IDENTITY2, "--port", "1", "--timeout", "nan"),
+        ("connect", "--role", "bob", "--f", IDENTITY2, "--port", "1", "--timeout", "inf"),
+        ("verify", "--max-m", "4", "--max-n", "4", "--trials", "-3"),
+    ])
+    def test_number_out_of_range(self, monkeypatch, capsys, argv):
+        def never(*args, **kwargs):
+            raise AssertionError("reached before the options were checked")
+
+        for name in ("serve_socket", "connect_socket", "_sweep_tables"):
+            monkeypatch.setattr(cli_module, name, never)
+        assert cli(*argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {argv[-2]} must") and captured.err.count("\n") == 1
 
     def test_out_into_a_missing_directory(self, capsys, tmp_path):
         out = tmp_path / "missing" / "x.json"
@@ -574,6 +595,16 @@ class TestScriptProcess:
         assert proc.returncode == 3
         assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
         assert proc.stderr.startswith("transport error: alice failed: WireFormatError")
+
+    def test_serve_on_a_busy_port_is_one_transport_error_line(self, capsys):
+        with socket.socket() as busy:
+            busy.bind(("127.0.0.1", 0))
+            busy.listen(1)
+            port = busy.getsockname()[1]
+            assert cli("serve", "--f", IDENTITY2, "--port", str(port), "--timeout", "1") == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith(f"transport error: cannot listen on 127.0.0.1:{port}: ")
 
     def test_connect_to_dead_port_is_a_transport_error(self):
         import socket as socketlib

@@ -3,7 +3,7 @@
 golden_record.json holds a subset of what tools/transcript_digest.py
 records: the first GOLDEN_TABLES of its tables (each run through run_locc
 and run_in_process for seeds 0-3), the decoded values and success flags of
-its capacity protocols, its larger runs at M = 16 and 32, the default
+its capacity protocols, its larger runs at M = 16, 32 and 64, the default
 `verify --seed 3` and two of its `capacities` reports.  The test records
 this checkout the same way, applies `compare`'s fatal rules and also pins
 the frame count of each message kind.  Ledger and `verify` max_deviation
@@ -33,7 +33,7 @@ def golden_record() -> dict:
     """This checkout's record on the golden subset, without amplitudes and digests."""
     record = transcript_digest.collect(
         GOLDEN_TABLES,
-        transcript_digest.LARGE_SIZES[:2],
+        transcript_digest.LARGE_SIZES,
         {"default": transcript_digest.VERIFY_ARGS["default"]},
         {name: transcript_digest.CAPACITY_TABLES[name] for name in ("permutation 8x8", "6x5")},
     )

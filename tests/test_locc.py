@@ -1,5 +1,6 @@
 """Distributed protocol: step operators, state evolution, transcripts, ledger."""
 
+import hashlib
 import json
 import os
 import tracemalloc
@@ -435,6 +436,9 @@ class TestWithAncillas:
         grown = resident_bytes() - before
         assert final.amps.nbytes == 256 << 20
         assert grown < 32 << 20, f"resident memory grew {grown / 2**20:.0f} MiB"
+        hashlib.sha256(final.amps)  # reads every page; a read must not allocate a zero page
+        grown = resident_bytes() - before
+        assert grown < 32 << 20, f"resident memory grew {grown / 2**20:.0f} MiB after a full read"
 
 
 class TestRunLocc:

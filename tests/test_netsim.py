@@ -1,5 +1,6 @@
 """Wire codec, channels, referee enforcement, and transport equivalence."""
 
+import functools
 import json
 import queue
 import socket
@@ -7,9 +8,12 @@ import struct
 import threading
 import time
 import tracemalloc
+from collections import Counter
+from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracle_locc.locc import (
     run_locc,
@@ -1113,3 +1117,87 @@ class TestSocketTransport:
     def test_rejects_unknown_role(self):
         with pytest.raises(ValueError, match="role"):
             connect_socket("eve", identity_table(2), "127.0.0.1", 1, timeout=0.1)
+
+
+# --- hostile fields -------------------------------------------------------
+
+MAPPED_ERRORS = (LocalityViolation, ProtocolOrderError, TransportError, WireFormatError, HandshakeMismatch)
+FUZZ_TABLES = [FunctionTable(4, 4, (2, 0, 3, 1)), FunctionTable(3, 2, (1, 0, 1)),
+               FunctionTable(5, 3, (0, 2, 2, 1, 0))]
+FUZZ_TIMEOUT = 1.0
+HOSTILE_VALUES = [None, True, False, -1, 2**70, 1e308, -0.0, "", "alice", "x" * 64,
+                  [], [[]], [0, [1]], {}, {"a": {}}, {"a": [None]}]
+
+
+def json_paths(node, depth=3, prefix=()):
+    """Every path to a field of a decoded frame body, down to `depth` keys or indices."""
+    if depth == 0 or not isinstance(node, (dict, list)):
+        return []
+    keys = node.keys() if isinstance(node, dict) else range(len(node))
+    paths = []
+    for key in keys:
+        paths.append(prefix + (key,))
+        paths += json_paths(node[key], depth - 1, prefix + (key,))
+    return paths
+
+
+def with_field(frame: bytes, choice: int, value) -> bytes:
+    """The frame with one field, the choice-th of json_paths (mod their count), set to value."""
+    body = json.loads(frame[4:])
+    paths = json_paths(body)
+    *parents, last = paths[choice % len(paths)]
+    node = body
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    text = json.dumps(body).encode()
+    return struct.pack("<I", len(text)) + text
+
+
+@functools.cache
+def honest_run(f, seed):
+    """(input, run_locc's transcript, frames each sender sends) of an honest run."""
+    inp = random_state((f.M, f.N), ("A", "B"), seed)
+    counts = Counter()
+    send = QueueChannel.send
+
+    def counting(channel, frame):
+        counts[decode_wire(frame).sender] += 1
+        send(channel, frame)
+
+    with patch.object(QueueChannel, "send", counting):
+        run_in_process(f, inp, seed, FUZZ_TIMEOUT)
+    return inp, run_locc(f, inp, seed)[1], counts
+
+
+class TestHostileField:
+    """One field of one frame of a run_in_process run replaced by a hostile value.
+
+    The run either completes with run_locc's transcript or raises one of
+    the five mapped types, and leaves no party thread behind.
+    """
+
+    @given(st.sampled_from(FUZZ_TABLES), st.integers(0, 1), st.sampled_from(["alice", "bob", "referee"]),
+           st.integers(0, 63), st.integers(0, 255), st.sampled_from(HOSTILE_VALUES))
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)  # about 2 s
+    def test_run_ends_in_the_honest_transcript_or_a_mapped_error(self, f, seed, sender, index, choice, value):
+        inp, transcript, counts = honest_run(f, seed)
+        target, sent = index % counts[sender], [0]
+        send = QueueChannel.send
+
+        def hostile(channel, frame):  # only `sender`'s thread counts
+            if decode_wire(frame).sender == sender:
+                if sent[0] == target:
+                    frame = with_field(frame, choice, value)
+                sent[0] += 1
+            send(channel, frame)
+
+        before = set(threading.enumerate())
+        with patch.object(QueueChannel, "send", hostile):
+            try:
+                _, got = run_in_process(f, inp, seed, FUZZ_TIMEOUT)
+            except MAPPED_ERRORS:
+                pass
+            else:
+                assert got.to_json() == transcript.to_json()
+        assert [t for t in threading.enumerate() if t not in before] == []

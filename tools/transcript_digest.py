@@ -137,9 +137,9 @@ def collect(tables: int = TABLES, large_sizes: tuple = LARGE_SIZES, verify_args:
             finally:
                 netsim.encode_wire = encode_wire
             in_process_same &= (transcript2.to_json() == transcript.to_json()
-                                and state2.amps.tobytes() == state.amps.tobytes())
+                                and memoryview(state2.amps).cast("B") == memoryview(state.amps).cast("B"))
             transcripts.append(transcript.to_json_dict())
-            amps.update(state.amps.tobytes())
+            amps.update(state.amps)
 
     def amplitudes(state) -> list:
         return [[float(a.real), float(a.imag)] for a in state.amps]
@@ -179,7 +179,7 @@ def collect(tables: int = TABLES, large_sizes: tuple = LARGE_SIZES, verify_args:
         state, transcript, _ = locc.run_locc(f, inp, 0)
         grown = None if before is None else round(resident_mib() - before, 1)
         large[str(M)] = {"r": transcript.r, "s": transcript.s, "resident_mib": grown,
-                         "amps": hashlib.sha256(state.amps.tobytes()).hexdigest()[:16]}
+                         "amps": hashlib.sha256(state.amps).hexdigest()[:16]}
 
     verify = {name: cli_report("verify", *args) for name, args in verify_args.items()}
     capacities = {name: cli_report("capacities", "--f", json.dumps(table))
