@@ -43,9 +43,9 @@ from .oracle import (
     phase_states,
 )
 from .quantum import (
+    KeyedState,
     LocalOperator,
     StateVector,
-    SupportState,
     _Owned,
     apply_local,
     entanglement_entropy,
@@ -168,7 +168,7 @@ def initial_state(f: FunctionTable, input_state: StateVector) -> StateVector:
 
     The amplitude of |x, j, y, j> is input[x, y] / sqrt(n_f), written onto
     that diagonal directly; every other amplitude is zero.  execute_script
-    starts from the same state held as its support (_initial_support).
+    starts from the same state keyed by b (_initial_support).
     """
     n = build_partition(f).n_values
     ab = _check_input(input_state, f)
@@ -178,14 +178,13 @@ def initial_state(f: FunctionTable, input_state: StateVector) -> StateVector:
     return StateVector(amps.shape, SUBSYSTEM_ORDER, _Owned(amps))
 
 
-def _initial_support(f: FunctionTable, input_state: StateVector) -> SupportState:
-    """initial_state's M * N * n_f nonzero amplitudes, input[x, y] / sqrt(n_f) at |x, j, y, j>."""
+def _initial_support(f: FunctionTable, input_state: StateVector) -> KeyedState:
+    """initial_state as a KeyedState on rows (A, a): row (x, j) holds input[x, :] / sqrt(n_f) at b = j."""
     n = build_partition(f).n_values
     ab = _check_input(input_state, f)
-    xj = np.arange(f.M * n)  # x * n + j, so the indices ascend in (x, j, y)
-    indices = (xj * (f.N * n) + xj % n)[:, None] + np.arange(0, f.N * n, n)
-    amps = np.repeat((ab.tensor_view() * (1.0 / np.sqrt(n)))[:, None, :], n, axis=1)
-    return SupportState((f.M, n, f.N, n), SUBSYSTEM_ORDER, _Owned(indices), _Owned(amps))
+    amps = np.repeat(ab.tensor_view() * (1.0 / np.sqrt(n)), n, axis=0)
+    key = np.arange(f.M * n) % n
+    return KeyedState((f.M, n, f.N, n), SUBSYSTEM_ORDER, 2, _Owned(key), _Owned(amps))
 
 
 # numpy's huge-page size: from it, np.zeros advises huge pages, so the
@@ -391,7 +390,7 @@ def execute_script(
     Referee) performs each apply step as parties.apply(step, state, value),
     value being the r or s the step depends on, and is told about each
     measure and send by parties.measured(step, outcome) and sent(step, value).
-    The state is a SupportState (_initial_support) until a is measured.
+    The state is a KeyedState (_initial_support) until a is measured.
     A measured ancilla leaves the state (see collapse): the steps after it
     see that label at dimension 1, and the returned state has both ancillas
     back at dimension n_f, in |r> and |s>.
@@ -416,15 +415,15 @@ def execute_script(
 
 
 def run_bytes(M: int, N: int, n_f: int) -> int:
-    """The bytes one run's state allocates at its peak, at 16 bytes an amplitude and 8 an index.
+    """The bytes one run's state allocates at its peak, at 16 bytes an amplitude and 8 a key.
 
     The returned (A, a, B, b) state has M * N * n_f^2 amplitudes, and dominates.  The
-    sum adds the M * N * n_f amplitudes left once a is measured and the support's
-    M * N * n_f indices and amplitudes before that.  These are allocated bytes, not
-    resident ones: a returned state of 4 MiB or more is resident only in the pages
+    sum adds the M * N * n_f amplitudes left once a is measured and, before that, the
+    keyed state's M * N * n_f amplitudes and M * n_f keys.  These are allocated bytes,
+    not resident ones: a returned state of 4 MiB or more is resident only in the pages
     its M * N nonzero amplitudes fall on (see _with_ancillas).
     """
-    return 16 * M * N * n_f * n_f + (16 + 8 + 16) * M * N * n_f
+    return 16 * M * N * n_f * n_f + (16 + 16) * M * N * n_f + 8 * M * n_f
 
 
 def run_locc(

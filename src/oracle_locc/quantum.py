@@ -13,8 +13,8 @@ it is.
 Each state primitive reads the amplitudes once, as a contiguous
 (pre, block, post) array whose middle axis merges the subsystems it acts
 on; a layout where those are not adjacent and in order is transposed into
-one where they are first.  A SupportState keeps only the nonzero part of a
-state: its flat indices, ascending, and their amplitudes.
+one where they are first.  A KeyedState holds a state whose last digit is a
+function of its leading (row) subsystems: a key per row and the rows' amplitudes.
 """
 
 from __future__ import annotations
@@ -67,7 +67,7 @@ def _check_normalized(amps: np.ndarray) -> None:
 
 @dataclass(frozen=True, eq=False)
 class _Layout:
-    """An ordered list of labelled subsystems, the part StateVector and SupportState share."""
+    """An ordered list of labelled subsystems, the part StateVector and KeyedState share."""
 
     dims: tuple[int, ...]
     labels: tuple[str, ...]
@@ -125,30 +125,33 @@ class StateVector(_Layout):
 
 
 @dataclass(frozen=True, eq=False, repr=False)
-class SupportState(_Layout):
-    """Normalized pure state held as its support: ascending flat indices and their amplitudes.
+class KeyedState(_Layout):
+    """Normalized pure state whose last subsystem's digit is a function of its first `rows` subsystems.
 
-    Every other amplitude is zero.  apply_local (a monomial operator on its
-    leading subsystems, in order) and the measurement functions take one.
+    amps has shape (R, L): R merges the first rows subsystems and L those
+    between them and the last.  The amplitude of |row, m, key[row]> is
+    amps[row, m]; every other amplitude is zero.  apply_local (a monomial
+    operator on exactly the row subsystems) and the measurement functions take one.
     """
 
-    indices: np.ndarray
+    rows: int
+    key: np.ndarray
     amps: np.ndarray
 
     def __post_init__(self):
         super().__post_init__()
-        given = self.indices.array if isinstance(self.indices, _Owned) else np.asarray(self.indices)
-        # The cast to np.intp would truncate 2.7 to 2; an empty list reads as
-        # floats, and the norm check refuses it.
-        if given.size and given.dtype.kind not in "iu":
-            raise ValueError(f"support indices must be integers, not {given.dtype}")
-        indices = _frozen(self.indices, dtype=np.intp)
-        amps = _frozen(self.amps, indices.size)
-        _check_normalized(amps)  # so the support is not empty
-        ascending = (indices[1:] > indices[:-1]).all()
-        if not (ascending and indices[0] >= 0 and indices[-1] < prod(self.dims)):
-            raise ValueError("support indices must be strictly ascending and within the state")
-        object.__setattr__(self, "indices", indices)
+        if not 0 <= self.rows < len(self.dims):
+            raise ValueError(f"rows must leave the last subsystem as the key, got {self.rows}")
+        given = self.key.array if isinstance(self.key, _Owned) else np.asarray(self.key)
+        if given.dtype.kind not in "iu":  # the cast to np.intp would truncate 2.7 to 2
+            raise ValueError(f"keys must be integers, not {given.dtype}")
+        R = prod(self.dims[: self.rows])
+        key = _frozen(self.key, dtype=np.intp)
+        if key.size != R or key.min() < 0 or key.max() >= self.dims[-1]:
+            raise ValueError(f"keys must be {R} integers in [0, {self.dims[-1]}), one per row")
+        amps = _frozen(self.amps, R * prod(self.dims[self.rows : -1])).reshape(R, -1)
+        _check_normalized(amps)
+        object.__setattr__(self, "key", key)
         object.__setattr__(self, "amps", amps)
 
 
@@ -331,20 +334,26 @@ class LocalOperator:
         return (self.target,) if isinstance(self.target, str) else self.target
 
 
-def apply_local(state: StateVector | SupportState, op: LocalOperator) -> StateVector | SupportState:
+def apply_local(state: StateVector | KeyedState, op: LocalOperator) -> StateVector | KeyedState:
     """Apply op to its target subsystem(s), identity elsewhere.
 
     On the (pre, block, post) array of the state, a monomial operator is one
     gather along block times its phases and a dense one is one matmul; the
-    global matrix is never materialized.  A support state is remapped (_remap).
+    global matrix is never materialized.  A keyed state's rows are gathered with their keys.
     """
     axes = [state.axis(x) for x in op.target_labels]
     tdims = tuple(state.dims[i] for i in axes)
     block = prod(tdims)
     if op.dim != block:
         raise ValueError(f"operator dimension {op.dim} does not match target dims {tdims}")
-    if isinstance(state, SupportState):
-        return _remap(state, op, axes)
+    if isinstance(state, KeyedState):
+        if op.source is None or axes != list(range(state.rows)):
+            raise ValueError(f"a KeyedState takes only an operator given by source and phases on its "
+                             f"row subsystems {state.labels[: state.rows]}, in order, not {op}")
+        out = np.take(state.amps, op.source, axis=0)
+        # numpy multiplies a lone element in place as a reduction, rounding unlike the dense form's longer row.
+        out = np.multiply(out, op.phases[:, None], out=None if out.size == 1 < state.dims[-1] else out)
+        return KeyedState(state.dims, state.labels, state.rows, _Owned(state.key[op.source]), _Owned(out))
     psi3, order = _grouped(state, axes)
     if op.source is not None:
         out = np.take(psi3, op.source, axis=1)
@@ -356,41 +365,27 @@ def apply_local(state: StateVector | SupportState, op: LocalOperator) -> StateVe
     return StateVector(state.dims, state.labels, _Owned(_ungrouped(out, state.dims, order)))
 
 
-def _remap(state: SupportState, op: LocalOperator, axes: list[int]) -> SupportState:
-    """A monomial op on the leading subsystems of a support state, in order.
-
-    An index's column is its leading digit; the index moves to the row whose
-    source is that column, and the row's phase multiplies as in the gather.
-    """
-    if op.source is None:
-        raise ValueError("a SupportState takes only an operator given by source and phases")
-    if axes != list(range(len(axes))):
-        raise ValueError(f"a SupportState takes an operator only on its leading subsystems, "
-                         f"in order, not on {op.target_labels}")
-    stride = prod(state.dims[len(axes) :])
-    column = state.indices // stride
-    row = np.argsort(op.source)[column]  # the inverse permutation: source[row] = column
-    indices = state.indices + (row - column) * stride
-    # Indices with equal target digits keep their order, so timsort merges runs (two per x in step 1).
-    order = np.argsort(indices, kind="stable")
-    amps = state.amps * op.phases[row]
-    return SupportState(state.dims, state.labels, _Owned(indices[order]), _Owned(amps[order]))
-
-
-def measurement_probabilities(state: StateVector | SupportState, label: str) -> np.ndarray:
+def measurement_probabilities(state: StateVector | KeyedState, label: str) -> np.ndarray:
     """Exact computational-basis outcome distribution for one subsystem.
 
     Each |amplitude|^2 column, re and im apart, is first summed over the
     subsystems before this one in ascending order, which is also the order
-    a support state's ascending indices feed bincount; then each outcome's
-    columns are summed.  So both kinds of state give the same bits.
+    in which a keyed state's amplitudes, row by row, feed bincount; then
+    each outcome's columns are summed.  So both kinds of state give the same bits.
     """
     axis = state.axis(label)
-    if isinstance(state, SupportState):
-        span = prod(state.dims[axis:])
-        column, columns = state.indices % span, np.empty((span, 2))
+    if isinstance(state, KeyedState):
+        span, key_dim, L = prod(state.dims[axis:]), state.dims[-1], state.amps.shape[1]
+        # Entry (row, m) sits at flat index (row * L + m) * key_dim + key[row]; its column, that mod
+        # span, is key[row] + ((row * L + m) mod above) * key_dim.  above is a multiple of L, tail
+        # whole rows, or divides L.
+        above = span // key_dim
+        tail = max(above // L, 1)
+        by_row = state.key.reshape(-1, tail) + np.arange(0, tail * L * key_dim, L * key_dim)
+        column = (by_row.reshape(-1, 1) + np.arange(0, L * key_dim, key_dim) % (above * key_dim)).reshape(-1)
+        columns = np.empty((span, 2))
         for part, values in enumerate((state.amps.real, state.amps.imag)):
-            columns[:, part] = np.bincount(column, values * values, span)
+            columns[:, part] = np.bincount(column, (values * values).reshape(-1), span)
     else:
         real = state.amps.reshape(prod(state.dims[:axis]), -1).view(np.float64)  # re, im interleaved
         columns = np.einsum("ij,ij->j", real, real)
@@ -398,7 +393,7 @@ def measurement_probabilities(state: StateVector | SupportState, label: str) -> 
 
 
 def collapse(
-    state: StateVector | SupportState, label: str, outcome: int
+    state: StateVector | KeyedState, label: str, outcome: int
 ) -> tuple[float, StateVector | None]:
     """Project a subsystem onto a basis outcome.
 
@@ -417,22 +412,28 @@ def collapse(
     return prob, _slice(state, axis, outcome, prob)
 
 
-def _slice(state: StateVector | SupportState, axis: int, outcome: int, prob: float) -> StateVector:
+def _slice(state: StateVector | KeyedState, axis: int, outcome: int, prob: float) -> StateVector:
     """collapse's surviving slice, given the outcome's probability prob > 0."""
     d, post = state.dims[axis], prod(state.dims[axis + 1 :])
     dims = state.dims[:axis] + (1,) + state.dims[axis + 1 :]
-    if isinstance(state, SupportState):
-        keep = state.indices // post % d == outcome
-        kept = state.indices[keep]  # (p * d + outcome) * post + q goes to p * post + q
-        amps = np.zeros(prod(dims), dtype=np.complex128)
-        amps[kept - (kept // (d * post) * (d - 1) + outcome) * post] = state.amps[keep] / sqrt(prob)
+    if isinstance(state, KeyedState) and axis == len(dims) - 1:
+        amps = np.where((state.key == outcome)[:, None], state.amps, 0) / sqrt(prob)
+    elif isinstance(state, KeyedState):
+        kept, key = state.amps, state.key
+        if axis < state.rows:  # the outcome's rows, each with its key
+            rows = np.arange(len(key)).reshape(prod(state.dims[:axis]), d, -1)[:, outcome].reshape(-1)
+            kept, key = kept[rows], key[rows]
+        else:  # the outcome's part of every row
+            kept = kept.reshape(len(key), -1, d, post // dims[-1])[:, :, outcome]
+        amps = np.zeros((len(key), kept.size // len(key), dims[-1]), dtype=np.complex128)
+        amps[np.arange(len(key)), :, key] = kept.reshape(len(key), -1) / sqrt(prob)
     else:
         amps = state.amps.reshape(-1, d, post)[:, outcome] / sqrt(prob)
     return StateVector(dims, state.labels, _Owned(amps))
 
 
 def measure_computational(
-    state: StateVector | SupportState, label: str, rng: np.random.Generator | int
+    state: StateVector | KeyedState, label: str, rng: np.random.Generator | int
 ) -> tuple[int, StateVector]:
     """Sample a computational-basis measurement of one subsystem.
 

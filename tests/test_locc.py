@@ -14,6 +14,7 @@ from oracle_locc.locc import (
     OWNERS,
     _FRESH_PAGES_BYTES,
     LocalParties,
+    _initial_support,
     SUBSYSTEM_ORDER,
     _with_ancillas,
     ab_substate,
@@ -43,10 +44,10 @@ from oracle_locc.oracle import (
     identity_table,
 )
 from oracle_locc.quantum import (
+    KeyedState,
     apply_local,
     collapse,
     fidelity,
-    SupportState,
     StateVector,
     from_amps,
     measure_computational,
@@ -351,7 +352,7 @@ def n_valued_table(M, n_f, rng):
 
 
 class TestSupportPath:
-    """run_locc holds the state as its support until a is measured, at the dense walk's bits."""
+    """run_locc holds the state keyed by b until a is measured, at the dense walk's bits."""
 
     @pytest.mark.parametrize("M, n_f", [(32, 32), (64, 17)])
     def test_run_locc_equals_the_dense_walk_bit_for_bit(self, M, n_f):
@@ -364,7 +365,7 @@ class TestSupportPath:
             assert (transcript.r, transcript.s) == (r, s)
             assert final.amps.tobytes() == expected.tobytes()
 
-    def test_only_step_1_sees_the_support_state(self):
+    def test_only_step_1_sees_the_keyed_state(self):
         class Spy(LocalParties):
             def __init__(self, f):
                 super().__init__(f)
@@ -377,7 +378,7 @@ class TestSupportPath:
         f = FunctionTable(4, 3, (2, 0, 2, 1))
         spy = Spy(f)
         execute_script(f, random_state((4, 3), ("A", "B"), np.random.default_rng(2)), 3, spy)
-        assert spy.seen == {1: SupportState, 3: StateVector, 4: StateVector, 5: StateVector,
+        assert spy.seen == {1: KeyedState, 3: StateVector, 4: StateVector, 5: StateVector,
                             7: StateVector}
 
     def test_peak_memory_stays_near_the_returned_state(self):
@@ -394,6 +395,23 @@ class TestSupportPath:
         # A dense state before a is measured would double that by itself.
         assert peak < 1.5 * final.amps.nbytes
         assert peak <= run_bytes(32, 32, 32)
+
+    def test_step_1_and_the_measurement_of_a_stay_within_four_keyed_states(self):
+        M = 32
+        rng = np.random.default_rng(M)
+        f = n_valued_table(M, M, rng)
+        inp = random_state((M, M), ("A", "B"), rng)
+        build_partition(f)  # cached on the table; the trace is of the state alone
+        tracemalloc.start()
+        try:
+            state = apply_local(_initial_support(f, inp), step1_operator(f))
+            measure_computational(state, "a", 7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # Two keyed states and the measurement's column and square arrays fit in four times the
+        # keyed amplitudes' 16 * M * N * n_f bytes; an argsort of M * N * n_f flat indices does not.
+        assert peak < 4 * 16 * M**3
 
 
 def resident_bytes() -> int:

@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from oracle_locc.quantum import (
+    KeyedState,
     LocalOperator,
     StateVector,
-    SupportState,
     apply_local,
     basis_state,
     collapse,
@@ -316,120 +316,147 @@ class TestKernels:
         assert_allclose(rho, ref_partial_trace(state, [1]), rtol=0, atol=1e-12)
 
 
-def dense_form(support: SupportState) -> StateVector:
-    """The StateVector with the support's amplitudes at its indices and zeros elsewhere."""
-    amps = np.zeros(int(np.prod(support.dims)), dtype=np.complex128)
-    amps[support.indices] = support.amps
-    return StateVector(support.dims, support.labels, amps)
+def keyed_positions(state: KeyedState) -> list[int]:
+    """The flat index of each entry (row, m), |row, m, key[row]>, in the order of amps."""
+    (R, L), K = state.amps.shape, state.dims[-1]
+    return [(row * L + m) * K + int(state.key[row]) for row in range(R) for m in range(L)]
 
 
-def random_support(rng: np.random.Generator, dims: tuple[int, ...], labels) -> SupportState:
-    """A state on a random nonempty subset of the basis; about a third of its amplitudes are 0."""
-    total = int(np.prod(dims))
-    indices = np.sort(rng.choice(total, size=int(rng.integers(1, total + 1)), replace=False))
-    amps = rng.standard_normal(indices.size) + 1j * rng.standard_normal(indices.size)
-    amps[rng.random(indices.size) < 0.3] = 0.0
+def dense_form(state: KeyedState) -> StateVector:
+    """The StateVector with the keyed state's amplitudes at their positions and zeros elsewhere."""
+    amps = np.zeros(int(np.prod(state.dims)), dtype=np.complex128)
+    amps[keyed_positions(state)] = state.amps.reshape(-1)
+    return StateVector(state.dims, state.labels, amps)
+
+
+def random_keyed(rng: np.random.Generator, dims: tuple[int, ...], rows: int, labels) -> KeyedState:
+    """A keyed state with random keys; about a third of its amplitudes are 0."""
+    R, L = int(np.prod(dims[:rows])), int(np.prod(dims[rows:-1]))
+    key = rng.integers(0, dims[-1], size=R)
+    amps = rng.standard_normal((R, L)) + 1j * rng.standard_normal((R, L))
+    amps[rng.random((R, L)) < 0.3] = 0.0
     if not amps.any():
-        amps[-1] = 1.0
-    return SupportState(dims, labels, indices, amps / np.linalg.norm(amps))
+        amps[-1, -1] = 1.0
+    return KeyedState(dims, labels, rows, key, amps / np.linalg.norm(amps))
 
 
-class TestSupportState:
-    """A support state gives the bits its dense form gives, through every primitive it takes."""
+LABELS = ("A", "a", "B", "b", "c")
 
-    LABELS = ("A", "a", "B", "b")
 
-    def test_monomial_apply_equals_the_dense_gather_bit_for_bit(self, rng):
+def random_keyed_layout(rng: np.random.Generator, min_rows: int = 0) -> KeyedState:
+    """A random keyed state over 2 to 5 subsystems of dims 1 to 4, with min_rows or more rows."""
+    count = int(rng.integers(max(2, min_rows + 1), 6))
+    rows = int(rng.integers(min_rows, count))
+    return random_keyed(rng, random_layout(rng, count), rows, LABELS[:count])
+
+
+class TestKeyedState:
+    """A keyed state gives the bits its dense form gives, through every primitive it takes."""
+
+    def test_monomial_apply_on_the_rows_equals_the_dense_gather_bit_for_bit(self, rng):
         for _ in range(200):
-            dims = random_layout(rng, 4)
-            support = random_support(rng, dims, self.LABELS)
-            count = int(rng.integers(1, 3))
-            block = int(np.prod(dims[:count]))
-            targets = self.LABELS[:count]  # the leading subsystems, in order
-            op = LocalOperator(targets[0] if count == 1 else targets, source=rng.permutation(block),
+            state = random_keyed_layout(rng, min_rows=1)
+            block = int(np.prod(state.dims[: state.rows]))
+            targets = state.labels[: state.rows]
+            op = LocalOperator(targets[0] if state.rows == 1 else targets,
+                               source=rng.permutation(block),
                                phases=np.exp(2j * np.pi * rng.random(block)))
-            out = apply_local(support, op)
-            dense = apply_local(dense_form(support), op).amps
-            assert isinstance(out, SupportState)
-            # On the support, the same bits; off it, zeros (the dense product may sign them).
-            assert out.amps.tobytes() == dense[out.indices].tobytes()
+            out = apply_local(state, op)
+            dense = apply_local(dense_form(state), op).amps
+            assert isinstance(out, KeyedState) and out.rows == state.rows
+            # At the keyed positions, the same bits; elsewhere, zeros (the dense product may sign them).
+            positions = keyed_positions(out)
+            assert out.amps.tobytes() == dense[positions].tobytes()
             rest = np.ones(dense.size, dtype=bool)
-            rest[out.indices] = False
+            rest[positions] = False
             assert not dense[rest].any()
 
-    def test_a_leading_adjacent_pair_is_one_digit(self, rng):
-        support = random_support(rng, (3, 4, 2, 4), self.LABELS)
-        op = LocalOperator(("A", "a"), source=rng.permutation(12), phases=np.ones(12))
-        out = apply_local(support, op)
-        assert out.amps.tobytes() == apply_local(dense_form(support), op).amps[out.indices].tobytes()
-
     def test_probabilities_and_collapse_equal_the_dense_ones_bit_for_bit(self, rng):
-        for _ in range(200):
-            dims = random_layout(rng, 4)
-            support = random_support(rng, dims, self.LABELS)
-            dense = dense_form(support)
-            label = self.LABELS[int(rng.integers(0, 4))]
-            probs = measurement_probabilities(support, label)
-            assert probs.tobytes() == measurement_probabilities(dense, label).tobytes()
-            for outcome in range(support.dim_of(label)):
-                prob, post = collapse(support, label, outcome)
-                dense_prob, dense_post = collapse(dense, label, outcome)
-                assert prob == dense_prob == probs[outcome]
-                if post is None:
-                    assert dense_post is None
-                else:
-                    assert isinstance(post, StateVector) and post.dims == dense_post.dims
-                    assert post.amps.tobytes() == dense_post.amps.tobytes()
+        for _ in range(100):
+            state = random_keyed_layout(rng)
+            dense = dense_form(state)
+            for label in state.labels:  # the key subsystem, the last, included
+                probs = measurement_probabilities(state, label)
+                assert probs.tobytes() == measurement_probabilities(dense, label).tobytes()
+                for outcome in range(state.dim_of(label)):
+                    prob, post = collapse(state, label, outcome)
+                    dense_prob, dense_post = collapse(dense, label, outcome)
+                    assert prob == dense_prob == probs[outcome]
+                    if post is None:
+                        assert dense_post is None
+                    else:
+                        assert isinstance(post, StateVector) and post.dims == dense_post.dims
+                        assert post.amps.tobytes() == dense_post.amps.tobytes()
+
+    def test_the_key_subsystem_is_measured_by_its_keys(self):
+        # Rows (A, a) carry keys 0, 2, 1, 2 on b; B's digit is not b's.
+        amps = np.array([[0.1, 0.2, 0.2], [0.3, 0.1, 0.3], [0.4, 0.2, 0.1], [0.5, 0.4, 0.0]])
+        amps /= np.linalg.norm(amps)
+        state = KeyedState((2, 2, 3, 3), ("A", "a", "B", "b"), 2, [0, 2, 1, 2], amps)
+        weights = (amps**2).sum(axis=1)
+        assert_allclose(measurement_probabilities(state, "b"),
+                        [weights[0], weights[2], weights[1] + weights[3]], rtol=0, atol=1e-15)
+        prob, post = collapse(state, "b", 2)
+        expected = np.zeros((4, 3), dtype=np.complex128)
+        expected[[1, 3]] = state.amps[[1, 3]] / np.sqrt(prob)
+        assert post.dims == (2, 2, 3, 1)
+        assert post.amps.tobytes() == expected.reshape(-1).tobytes()
 
     def test_measurement_equals_the_dense_one_bit_for_bit(self, rng):
         for seed in range(30):
-            dims = random_layout(rng, 4)
-            support = random_support(rng, dims, self.LABELS)
-            label = self.LABELS[seed % 4]
-            outcome, post = measure_computational(support, label, seed)
-            dense_outcome, dense_post = measure_computational(dense_form(support), label, seed)
-            assert outcome == dense_outcome
-            assert post.amps.tobytes() == dense_post.amps.tobytes()
+            state = random_keyed_layout(rng)
+            dense = dense_form(state)
+            for label in state.labels:
+                outcome, post = measure_computational(state, label, seed)
+                dense_outcome, dense_post = measure_computational(dense, label, seed)
+                assert outcome == dense_outcome
+                assert post.amps.tobytes() == dense_post.amps.tobytes()
 
-    @pytest.mark.parametrize("targets", ["a", "b", ("a", "A"), ("a", "B"), ("B", "b"), ("A", "B")],
-                             ids=["second", "last", "reversed", "inner pair", "trailing pair", "apart"])
-    def test_an_operator_off_the_leading_subsystems_is_refused(self, rng, targets):
-        support = random_support(rng, (2, 3, 2, 3), self.LABELS)
+    @pytest.mark.parametrize("targets", ["A", "a", "b", ("a", "A"), ("a", "B"), ("B", "b"),
+                                         ("A", "B"), ("A", "a", "B")],
+                             ids=["first row", "second row", "key", "reversed", "inner pair",
+                                  "trailing pair", "apart", "past the rows"])
+    def test_an_operator_off_the_row_subsystems_is_refused(self, rng, targets):
+        state = random_keyed(rng, (2, 3, 2, 3), 2, ("A", "a", "B", "b"))
         labels = (targets,) if isinstance(targets, str) else targets
-        d = int(np.prod([support.dim_of(x) for x in labels]))
+        d = int(np.prod([state.dim_of(x) for x in labels]))
         op = LocalOperator(targets, source=rng.permutation(d), phases=np.ones(d))
-        with pytest.raises(ValueError, match="leading subsystems"):
-            apply_local(support, op)
+        with pytest.raises(ValueError, match="row subsystems"):
+            apply_local(state, op)
 
     def test_a_dense_operator_is_refused(self, rng):
-        support = random_support(rng, (2, 3), ("A", "B"))
+        state = random_keyed(rng, (2, 3), 1, ("A", "B"))
         with pytest.raises(ValueError, match="source and phases"):
-            apply_local(support, LocalOperator("B", random_unitary(3, rng)))
+            apply_local(state, LocalOperator("A", random_unitary(2, rng)))
 
-    @pytest.mark.parametrize("indices, amps, match", [
-        ([2, 1], [0.6, 0.8], "ascending"),
-        ([1, 1], [0.6, 0.8], "ascending"),
-        ([-1, 2], [0.6, 0.8], "ascending"),
-        ([0, 6], [0.6, 0.8], "ascending"),
-        ([0, 1], [0.6, 0.6], "not normalized"),
-        ([0, 1], [np.nan, 0.8], "not normalized"),
-        ([], [], "not normalized"),
-        ([0, 1, 2], [0.6, 0.8], "length"),
-        ([0.9, 2.7], [0.6, 0.8], "must be integers"),  # np.intp would truncate them to [0, 2]
-        (np.array([1.0, 4.0]), [0.6, 0.8], "must be integers"),
-        ([False, True], [0.6, 0.8], "must be integers"),
-        (np.array([1, 4], dtype=complex), [0.6, 0.8], "must be integers"),
+    @pytest.mark.parametrize("rows, key, amps, match", [
+        (1, [1, 3], [0.6, 0.8], "keys must be"),
+        (1, [-1, 2], [0.6, 0.8], "keys must be"),
+        (1, [0, 1, 2], [0.6, 0.8], "keys must be"),
+        (1, [0], [0.6, 0.8], "keys must be"),
+        (1, np.array([], dtype=int), [], "keys must be"),
+        (1, [0, 1], [0.6, 0.8, 0.0], "amplitude vector has length"),
+        (1, [0, 1], [], "amplitude vector has length"),
+        (1, [0, 1], [0.6, 0.6], "not normalized"),
+        (1, [0, 1], [np.nan, 0.8], "not normalized"),
+        (1, [0, 1], [0.0, 0.0], "not normalized"),
+        (1, [0.9, 2.7], [0.6, 0.8], "must be integers"),  # np.intp would truncate them to [0, 2]
+        (1, np.array([1.0, 2.0]), [0.6, 0.8], "must be integers"),
+        (1, [False, True], [0.6, 0.8], "must be integers"),
+        (1, np.array([1, 2], dtype=complex), [0.6, 0.8], "must be integers"),
+        (2, [0], [1.0], "rows must leave"),
+        (-1, [0], [1.0], "rows must leave"),
     ])
-    def test_invalid_supports_are_refused(self, indices, amps, match):
+    def test_invalid_keyed_states_are_refused(self, rows, key, amps, match):
         with pytest.raises(ValueError, match=match):
-            SupportState((2, 3), ("A", "B"), indices, amps)
+            KeyedState((2, 3), ("A", "B"), rows, key, amps)
 
-    def test_indices_and_amplitudes_are_copied_and_read_only(self):
-        indices, amps = np.array([1, 4]), np.array([0.6, 0.8j])
-        support = SupportState((2, 3), ("A", "B"), indices, amps)
-        indices[0], amps[0] = 0, 1.0
-        assert support.indices.tolist() == [1, 4] and support.amps[0] == 0.6
-        for array in (support.indices, support.amps):
+    def test_keys_and_amplitudes_are_copied_and_read_only(self):
+        key, amps = np.array([1, 2]), np.array([0.6, 0.8j])
+        state = KeyedState((2, 3), ("A", "B"), 1, key, amps)
+        key[0], amps[0] = 0, 1.0
+        assert state.key.tolist() == [1, 2] and state.amps[0, 0] == 0.6
+        for array in (state.key, state.amps):
             with pytest.raises(ValueError):
                 array[0] = 0
 
