@@ -15,6 +15,8 @@ Each state primitive reads the amplitudes once, as a contiguous
 on; a layout where those are not adjacent and in order is transposed into
 one where they are first.  A KeyedState holds a state whose last digit is a
 function of its leading (row) subsystems: a key per row and the rows' amplitudes.
+Each primitive that takes one gives its dense form's bits: a contract between
+the two forms, not across versions, which may reorder a sum.
 """
 
 from __future__ import annotations
@@ -368,28 +370,26 @@ def apply_local(state: StateVector | KeyedState, op: LocalOperator) -> StateVect
 def measurement_probabilities(state: StateVector | KeyedState, label: str) -> np.ndarray:
     """Exact computational-basis outcome distribution for one subsystem.
 
-    Each |amplitude|^2 column, re and im apart, is first summed over the
-    subsystems before this one in ascending order, which is also the order
-    in which a keyed state's amplitudes, row by row, feed bincount; then
-    each outcome's columns are summed.  So both kinds of state give the same bits.
+    Before the last subsystem, the squared re and im parts are summed over
+    the last (a keyed state holds one nonzero value there, so its squared
+    amplitudes are these sums, exact in any order), then over each
+    contiguous (before..., outcome) row, then over each outcome's rows.  The
+    last subsystem's squared columns are summed over the rows in ascending
+    order, by einsum or, on a keyed state, by bincount on the keys.
     """
-    axis = state.axis(label)
+    axis, d = state.axis(label), state.dim_of(label)
     if isinstance(state, KeyedState):
-        span, key_dim, L = prod(state.dims[axis:]), state.dims[-1], state.amps.shape[1]
-        # Entry (row, m) sits at flat index (row * L + m) * key_dim + key[row]; its column, that mod
-        # span, is key[row] + ((row * L + m) mod above) * key_dim.  above is a multiple of L, tail
-        # whole rows, or divides L.
-        above = span // key_dim
-        tail = max(above // L, 1)
-        by_row = state.key.reshape(-1, tail) + np.arange(0, tail * L * key_dim, L * key_dim)
-        column = (by_row.reshape(-1, 1) + np.arange(0, L * key_dim, key_dim) % (above * key_dim)).reshape(-1)
-        columns = np.empty((span, 2))
-        for part, values in enumerate((state.amps.real, state.amps.imag)):
-            columns[:, part] = np.bincount(column, (values * values).reshape(-1), span)
+        weights = state.amps.view(np.float64) ** 2  # re, im interleaved
+        if axis == len(state.dims) - 1:
+            bins = np.repeat(2 * state.key, state.amps.shape[1])[:, None] + (0, 1)
+            return np.bincount(bins.reshape(-1), weights.reshape(-1), 2 * d).reshape(d, 2).sum(axis=1)
     else:
-        real = state.amps.reshape(prod(state.dims[:axis]), -1).view(np.float64)  # re, im interleaved
-        columns = np.einsum("ij,ij->j", real, real)
-    return columns.reshape(state.dims[axis], -1).sum(axis=1)
+        real = state.amps.reshape(-1, state.dims[-1]).view(np.float64)
+        if axis == len(state.dims) - 1:
+            return np.einsum("ij,ij->j", real, real).reshape(d, 2).sum(axis=1)
+        weights = np.stack([np.einsum("ij,ij->i", real[:, p::2], real[:, p::2]) for p in (0, 1)], axis=1)
+    rows = weights.reshape(prod(state.dims[: axis + 1]), -1).sum(axis=1)
+    return rows.reshape(-1, d).sum(axis=0)
 
 
 def collapse(
@@ -421,8 +421,8 @@ def _slice(state: StateVector | KeyedState, axis: int, outcome: int, prob: float
     elif isinstance(state, KeyedState):
         kept, key = state.amps, state.key
         if axis < state.rows:  # the outcome's rows, each with its key
-            rows = np.arange(len(key)).reshape(prod(state.dims[:axis]), d, -1)[:, outcome].reshape(-1)
-            kept, key = kept[rows], key[rows]
+            pre = prod(state.dims[:axis])
+            kept, key = kept.reshape(pre, d, -1)[:, outcome], key.reshape(pre, d, -1)[:, outcome].reshape(-1)
         else:  # the outcome's part of every row
             kept = kept.reshape(len(key), -1, d, post // dims[-1])[:, :, outcome]
         amps = np.zeros((len(key), kept.size // len(key), dims[-1]), dtype=np.complex128)

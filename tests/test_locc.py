@@ -396,7 +396,7 @@ class TestSupportPath:
         assert peak < 1.5 * final.amps.nbytes
         assert peak <= run_bytes(32, 32, 32)
 
-    def test_step_1_and_the_measurement_of_a_stay_within_four_keyed_states(self):
+    def test_step_1_and_the_measurement_of_a_stay_within_three_keyed_states(self):
         M = 32
         rng = np.random.default_rng(M)
         f = n_valued_table(M, M, rng)
@@ -409,9 +409,25 @@ class TestSupportPath:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # Two keyed states and the measurement's column and square arrays fit in four times the
-        # keyed amplitudes' 16 * M * N * n_f bytes; an argsort of M * N * n_f flat indices does not.
-        assert peak < 4 * 16 * M**3
+        # Two keyed states and the measurement's squared amplitudes fit in three times the keyed
+        # amplitudes' 16 * M * N * n_f bytes; span-long columns or an argsort of M * N * n_f flat
+        # indices do not.
+        assert peak < 3 * 16 * M**3
+
+    def test_the_measurement_of_a_holds_about_one_copy_of_the_keyed_amplitudes(self):
+        M = 32
+        rng = np.random.default_rng(M)
+        f = n_valued_table(M, M, rng)
+        state = apply_local(_initial_support(f, random_state((M, M), ("A", "B"), rng)),
+                            step1_operator(f))
+        tracemalloc.start()
+        try:
+            measurement_probabilities(state, "a")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The squared amplitudes are one copy; columns as long as the dense (a, B, b) span are not.
+        assert peak < 1.25 * state.amps.nbytes
 
 
 def resident_bytes() -> int:

@@ -388,6 +388,22 @@ class TestKeyedState:
                         assert isinstance(post, StateVector) and post.dims == dense_post.dims
                         assert post.amps.tobytes() == dense_post.amps.tobytes()
 
+    @pytest.mark.parametrize("dims, rows", [((3, 5, 300, 4), 2), ((2, 1, 700, 3), 1),
+                                            ((40, 50, 1, 6), 1)])
+    def test_long_rows_sum_like_the_dense_form_bit_for_bit(self, rng, dims, rows):
+        # Rows and columns over 128 floats take numpy's blocked pairwise sum, which dims <= 4 never reach.
+        state = random_keyed(rng, dims, rows, LABELS[:4])
+        dense = dense_form(state)
+        for label in state.labels:
+            probs = measurement_probabilities(state, label)
+            assert probs.tobytes() == measurement_probabilities(dense, label).tobytes()
+            for outcome in range(state.dim_of(label)):
+                prob, post = collapse(state, label, outcome)
+                dense_prob, dense_post = collapse(dense, label, outcome)
+                assert prob == dense_prob == probs[outcome]
+                assert (post is None and dense_post is None
+                        or post.amps.tobytes() == dense_post.amps.tobytes())
+
     def test_the_key_subsystem_is_measured_by_its_keys(self):
         # Rows (A, a) carry keys 0, 2, 1, 2 on b; B's digit is not b's.
         amps = np.array([[0.1, 0.2, 0.2], [0.3, 0.1, 0.3], [0.4, 0.2, 0.1], [0.5, 0.4, 0.0]])

@@ -7,23 +7,25 @@
 draws 105 random tables with M, N <= 8 and a random input state for each
 from numpy's default_rng(2024), runs each through run_locc and
 run_in_process for seeds 0-3, and writes the 420 run_locc transcripts, a
-digest of the final amplitudes, and whether run_in_process gave the same
-transcript and amplitudes bytes for bytes.  During the run_in_process
-runs it wraps netsim.encode_wire and keeps one SHA-256 per sender over
-that sender's frames in send order (per sender, because the two parties'
-hellos race between threads), and a frame count per message kind.  It
-also runs the capacity protocols: send_bidirectional on every permutation
-with M <= 4 for every (r, s), and send_forward (every r), send_backward
-(every s) and entangle_protocol on every table with M, N <= 3.  For each
-run it keeps the decoded value and success flag (the ebits, for
+digest of the final amplitudes, each final state's A, B block (the
+amplitudes at a = r, b = s) as (re, im) pairs, and whether run_in_process
+gave the same transcript and amplitudes bytes for bytes.  During the
+run_in_process runs it wraps netsim.encode_wire and keeps one SHA-256 per
+sender over that sender's frames in send order (per sender, because the
+two parties' hellos race between threads), and a frame count per message
+kind.  It also runs the capacity protocols: send_bidirectional on every
+permutation with M <= 4 for every (r, s), and send_forward (every r),
+send_backward (every s) and entangle_protocol on every table with M, N <= 3.
+For each run it keeps the decoded value and success flag (the ebits, for
 entangle_protocol) and the final amplitudes.  Last, it keeps the exit code
 and JSON report of `verify --seed 3` at the default bounds and at
 `--max-m 5 --max-n 5 --trials 40`, and of `capacities` on an 8 x 8 and a
 32 x 32 permutation and a 6 x 5 table that is not one.  It also runs one
 random permutation each at M = 16, 32 and 64 (numpy's default_rng([2024, M])
 draws the table and the input) through run_locc with seed 0, and keeps r,
-s, a digest of the final amplitudes and, where /proc/self/statm exists
-(Linux), how many MiB the resident set grew while the final state is alive.
+s, a digest of the final amplitudes, the A, B block and, where
+/proc/self/statm exists (Linux), how many MiB the resident set grew while
+the final state is alive.
 
 `compare` prints how many transcripts differ in each top-level field and
 each ledger field, with the largest difference of each ledger field in
@@ -31,14 +33,19 @@ absolute terms and in ulps of the larger value (of 1.0 when both are
 smaller, as near zero the ulp is no scale).  For each protocol it prints
 how many decoded values or success flags differ and the largest
 difference of an amplitude and of the ebits, compared as values, so
-that the sign of a zero does not count.  It exits 1 if r or s differs
+that the sign of a zero does not count.  It prints the largest difference
+of a real or imaginary part of the run_locc A, B blocks, in absolute terms
+and in ulps (as for the ledger), and in how many runs one differs, but
+does not fail on it: amplitudes are held within a bound across versions,
+not to their bits.  It exits 1 if r or s differs
 anywhere, if run_in_process matched run_locc in BEFORE and no longer does
 in AFTER, or if a protocol's decoded value or success flag differs.  It
 prints the frame digest of each sender and the frame count of each kind,
 before and after, but does not fail on them, since a change of the wire
-bytes can be intended.  It prints r, s and the amplitude digest of each
-of the three larger runs, and exits 1 if r or s differs; it prints their
-resident growth before and after, but never fails on it.  It prints every
+bytes can be intended.  It prints r, s, the amplitude digest and the
+largest A, B block difference of each of the three larger runs, and exits
+1 if r or s differs; it prints their resident growth before and after,
+but never fails on it.  It prints every
 check whose max_deviation differs between the two `verify` reports, and
 exits 1 if an exit code, a check name, its cases or passed flag, another
 report field, or any `capacities` field differs.
@@ -123,8 +130,14 @@ def collect(tables: int = TABLES, large_sizes: tuple = LARGE_SIZES, verify_args:
             kinds[msg.kind] += 1
         return frame
 
+    def pairs(amps) -> list:
+        return np.ascontiguousarray(amps).reshape(-1).view(np.float64).reshape(-1, 2).tolist()
+
+    def ab_block(state, transcript) -> list:
+        return pairs(state.tensor_view()[:, transcript.r, :, transcript.s])
+
     rng = np.random.default_rng(SEED)
-    transcripts, amps, in_process_same = [], hashlib.sha256(), True
+    transcripts, blocks, amps, in_process_same = [], [], hashlib.sha256(), True
     for _ in range(tables):
         M, N = int(rng.integers(1, 9)), int(rng.integers(1, 9))
         f = FunctionTable(M, N, tuple(int(v) for v in rng.integers(0, N, size=M)))
@@ -139,15 +152,13 @@ def collect(tables: int = TABLES, large_sizes: tuple = LARGE_SIZES, verify_args:
             in_process_same &= (transcript2.to_json() == transcript.to_json()
                                 and memoryview(state2.amps).cast("B") == memoryview(state.amps).cast("B"))
             transcripts.append(transcript.to_json_dict())
+            blocks.append(ab_block(state, transcript))
             amps.update(state.amps)
-
-    def amplitudes(state) -> list:
-        return [[float(a.real), float(a.imag)] for a in state.amps]
 
     def outcome(result) -> dict:
         decoded = result.decoded if isinstance(result.decoded, int) else list(result.decoded)
         return {"decoded": decoded, "success": result.success,
-                "amps": amplitudes(result.final_state)}
+                "amps": pairs(result.final_state.amps)}
 
     runs = {"bidirectional": [], "forward": [], "backward": [], "entangle": []}
     for M in range(1, 5):
@@ -162,7 +173,7 @@ def collect(tables: int = TABLES, large_sizes: tuple = LARGE_SIZES, verify_args:
                 runs["forward"].append(outcome(protocols.send_forward(f, message)))
                 runs["backward"].append(outcome(protocols.send_backward(f, message)))
             final, ebits = protocols.entangle_protocol(f)
-            runs["entangle"].append({"ebits": ebits, "amps": amplitudes(final)})
+            runs["entangle"].append({"ebits": ebits, "amps": pairs(final.amps)})
 
     def cli_report(*argv) -> dict:
         out = io.StringIO()
@@ -179,12 +190,13 @@ def collect(tables: int = TABLES, large_sizes: tuple = LARGE_SIZES, verify_args:
         state, transcript, _ = locc.run_locc(f, inp, 0)
         grown = None if before is None else round(resident_mib() - before, 1)
         large[str(M)] = {"r": transcript.r, "s": transcript.s, "resident_mib": grown,
-                         "amps": hashlib.sha256(state.amps).hexdigest()[:16]}
+                         "amps": hashlib.sha256(state.amps).hexdigest()[:16],
+                         "block": ab_block(state, transcript)}
 
     verify = {name: cli_report("verify", *args) for name, args in verify_args.items()}
     capacities = {name: cli_report("capacities", "--f", json.dumps(table))
                   for name, table in capacity_tables.items()}
-    return {"transcripts": transcripts, "amps": amps.hexdigest()[:16],
+    return {"transcripts": transcripts, "blocks": blocks, "amps": amps.hexdigest()[:16],
             "in_process_same": in_process_same, "protocols": runs,
             "frames": {sender: h.hexdigest()[:16] for sender, h in sorted(frames.items())},
             "frame_kinds": dict(sorted(kinds.items())), "large": large,
@@ -221,6 +233,7 @@ def compare_records(before: dict, after: dict) -> int:
         tail = f" (largest: {gap[0]:.3g} absolute, {gap[1]:.0f} ulp)" if gap else ""
         print(f"{key}: {count} of {len(pairs)} differ{tail}")
     print("amps digest:", before.get("amps"), "->", after.get("amps"))
+    print("run_locc A, B blocks:", block_gaps(before.get("blocks"), after.get("blocks")))
     print("run_in_process identical:", before["in_process_same"], "->", after["in_process_same"])
     for key in ("frames", "frame_kinds"):
         old, new = before.get(key, {}), after.get(key, {})
@@ -245,10 +258,26 @@ def compare_large(before: dict, after: dict) -> bool:
         new = after["large"].get(M, {})
         differ = (old["r"], old["s"]) != (new.get("r"), new.get("s"))
         print(f"large run M={M}: r, s {'DIFFER' if differ else 'same'}; "
-              f"amps {old.get('amps')} -> {new.get('amps')}; resident growth MiB "
+              f"amps {old.get('amps')} -> {new.get('amps')}; "
+              f"A, B block {block_gaps([old.get('block')], [new.get('block')])}; resident growth MiB "
               f"{old.get('resident_mib')} -> {new.get('resident_mib')}")
         any_differ |= differ
     return any_differ
+
+
+def block_gaps(before: list | None, after: list | None) -> str:
+    """The largest difference of a real or imaginary part between two lists of A, B blocks."""
+    if before is None or after is None or None in before or None in after:
+        return "not recorded on both sides"
+    if len(before) != len(after):
+        return f"block counts differ: {len(before)} -> {len(after)}"
+    gap, gap_ulps, differ = 0.0, 0.0, 0
+    for old, new in zip(before, after):
+        parts = [(x, y) for a, b in zip(old, new) for x, y in zip(a, b)]
+        differ += len(old) != len(new) or any(x != y for x, y in parts)
+        gap = max([gap] + [abs(x - y) for x, y in parts])
+        gap_ulps = max([gap_ulps] + [ulps(x, y) for x, y in parts])
+    return f"{differ} of {len(before)} differ (largest: {gap:.3g} absolute, {gap_ulps:.2g} ulp)"
 
 
 def compare_protocols(before: dict, after: dict) -> bool:
