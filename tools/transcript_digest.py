@@ -35,17 +35,18 @@ how many decoded values or success flags differ and the largest
 difference of an amplitude and of the ebits, compared as values, so
 that the sign of a zero does not count.  It prints the largest difference
 of a real or imaginary part of the run_locc A, B blocks, in absolute terms
-and in ulps (as for the ledger), and in how many runs one differs, but
-does not fail on it: amplitudes are held within a bound across versions,
-not to their bits.  It exits 1 if r or s differs
-anywhere, if run_in_process matched run_locc in BEFORE and no longer does
-in AFTER, or if a protocol's decoded value or success flag differs.  It
+and in ulps (as for the ledger), and in how many runs one differs:
+amplitudes are held within BLOCK_ULPS ulps across versions, not to their
+bits.  It exits 1 if r or s differs anywhere, if a block part differs by
+more than BLOCK_ULPS ulps or a block changes shape, if run_in_process
+matched run_locc in BEFORE and no longer does in AFTER, or if a
+protocol's decoded value or success flag differs.  It
 prints the frame digest of each sender and the frame count of each kind,
 before and after, but does not fail on them, since a change of the wire
 bytes can be intended.  It prints r, s, the amplitude digest and the
 largest A, B block difference of each of the three larger runs, and exits
-1 if r or s differs; it prints their resident growth before and after,
-but never fails on it.  It prints every
+1 if r or s differs or a block part by more than BLOCK_ULPS ulps; it
+prints their resident growth before and after, but never fails on it.  It prints every
 check whose max_deviation differs between the two `verify` reports, and
 exits 1 if an exit code, a check name, its cases or passed flag, another
 report field, or any `capacities` field differs.
@@ -77,6 +78,8 @@ VERIFY_ARGS = {
     "default": ["--seed", "3"],
     "5x5": ["--seed", "3", "--max-m", "5", "--max-n", "5", "--trials", "40"],
 }
+# The largest difference of a real or imaginary part of an A, B block, in ulps (see ulps).
+BLOCK_ULPS = 4
 CAPACITY_TABLES = {
     "permutation 8x8": {"M": 8, "N": 8, "table": [(3 * x + 1) % 8 for x in range(8)]},
     "permutation 32x32": {"M": 32, "N": 32, "table": [(5 * x + 3) % 32 for x in range(32)]},
@@ -233,7 +236,8 @@ def compare_records(before: dict, after: dict) -> int:
         tail = f" (largest: {gap[0]:.3g} absolute, {gap[1]:.0f} ulp)" if gap else ""
         print(f"{key}: {count} of {len(pairs)} differ{tail}")
     print("amps digest:", before.get("amps"), "->", after.get("amps"))
-    print("run_locc A, B blocks:", block_gaps(before.get("blocks"), after.get("blocks")))
+    blocks, block_ulps = block_gaps(before.get("blocks"), after.get("blocks"))
+    print("run_locc A, B blocks:", blocks)
     print("run_in_process identical:", before["in_process_same"], "->", after["in_process_same"])
     for key in ("frames", "frame_kinds"):
         old, new = before.get(key, {}), after.get(key, {})
@@ -243,13 +247,16 @@ def compare_records(before: dict, after: dict) -> int:
     large_differ = compare_large(before, after)
     protocols_differ = compare_protocols(before["protocols"], after["protocols"])
     reports_differ = compare_reports(before, after)
-    failed = (differs["r"] or differs["s"] or lost_in_process or large_differ or protocols_differ
-              or reports_differ)
+    failed = (differs["r"] or differs["s"] or block_ulps > BLOCK_ULPS or lost_in_process
+              or large_differ or protocols_differ or reports_differ)
     return 1 if failed else 0
 
 
 def compare_large(before: dict, after: dict) -> bool:
-    """Print each larger run's r, s and amplitude digest; True if r or s differs or one is missing."""
+    """Print each larger run's r, s, amplitude digest and block difference.
+
+    True if r or s differs, the block by more than BLOCK_ULPS ulps, or a run is missing.
+    """
     if "large" not in before or "large" not in after:
         print("large runs: not recorded on both sides")
         return True
@@ -257,27 +264,32 @@ def compare_large(before: dict, after: dict) -> bool:
     for M, old in before["large"].items():
         new = after["large"].get(M, {})
         differ = (old["r"], old["s"]) != (new.get("r"), new.get("s"))
+        block, block_ulps = block_gaps([old.get("block")], [new.get("block")])
         print(f"large run M={M}: r, s {'DIFFER' if differ else 'same'}; "
               f"amps {old.get('amps')} -> {new.get('amps')}; "
-              f"A, B block {block_gaps([old.get('block')], [new.get('block')])}; resident growth MiB "
+              f"A, B block {block}; resident growth MiB "
               f"{old.get('resident_mib')} -> {new.get('resident_mib')}")
-        any_differ |= differ
+        any_differ |= differ or block_ulps > BLOCK_ULPS
     return any_differ
 
 
-def block_gaps(before: list | None, after: list | None) -> str:
-    """The largest difference of a real or imaginary part between two lists of A, B blocks."""
+def block_gaps(before: list | None, after: list | None) -> tuple[str, float]:
+    """The largest difference of a real or imaginary part between two lists of A, B blocks.
+
+    Returns a line to print and that difference in ulps: infinite when the
+    blocks differ in count or shape, 0 when either side did not record them.
+    """
     if before is None or after is None or None in before or None in after:
-        return "not recorded on both sides"
+        return "not recorded on both sides", 0.0
     if len(before) != len(after):
-        return f"block counts differ: {len(before)} -> {len(after)}"
+        return f"block counts differ: {len(before)} -> {len(after)}", math.inf
     gap, gap_ulps, differ = 0.0, 0.0, 0
     for old, new in zip(before, after):
         parts = [(x, y) for a, b in zip(old, new) for x, y in zip(a, b)]
         differ += len(old) != len(new) or any(x != y for x, y in parts)
         gap = max([gap] + [abs(x - y) for x, y in parts])
-        gap_ulps = max([gap_ulps] + [ulps(x, y) for x, y in parts])
-    return f"{differ} of {len(before)} differ (largest: {gap:.3g} absolute, {gap_ulps:.2g} ulp)"
+        gap_ulps = max([gap_ulps] + [ulps(x, y) for x, y in parts] + [math.inf] * (len(old) != len(new)))
+    return f"{differ} of {len(before)} differ (largest: {gap:.3g} absolute, {gap_ulps:.2g} ulp)", gap_ulps
 
 
 def compare_protocols(before: dict, after: dict) -> bool:
