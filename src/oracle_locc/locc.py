@@ -255,7 +255,12 @@ def step4_operator(f: FunctionTable) -> LocalOperator:
 
 def step5_operator(f: FunctionTable) -> LocalOperator:
     """Discrete Fourier transform on b (same matrix as the phase basis)."""
-    n = build_partition(f).n_values
+    return _dft(build_partition(f).n_values)
+
+
+@lru_cache(maxsize=16)  # each holds an n x n matrix, so fewer than _pair_entropy's floats
+def _dft(n: int) -> LocalOperator:
+    """step5_operator for n_f = n, built and checked for unitarity (n^3 work) once per n."""
     return LocalOperator("b", phase_states(n))
 
 
@@ -390,10 +395,11 @@ def execute_script(
     Referee) performs each apply step as parties.apply(step, state, value),
     value being the r or s the step depends on, and is told about each
     measure and send by parties.measured(step, outcome) and sent(step, value).
-    The state is a KeyedState (_initial_support) until a is measured.
-    A measured ancilla leaves the state (see collapse): the steps after it
-    see that label at dimension 1, and the returned state has both ancillas
-    back at dimension n_f, in |r> and |s>.
+    The state is a KeyedState (_initial_support) until step 5, whose output
+    is the run's first dense state (see apply_local).  A measured ancilla
+    leaves the state (see collapse): the steps after it see that label at
+    dimension 1, and the returned state has both ancillas back at dimension
+    n_f, in |r> and |s>.
     """
     rng = np.random.default_rng(int(seed))
     script = build_locc_script(f)
@@ -418,8 +424,9 @@ def run_bytes(M: int, N: int, n_f: int) -> int:
     """The bytes one run's state allocates at its peak, at 16 bytes an amplitude and 8 a key.
 
     The returned (A, a, B, b) state has M * N * n_f^2 amplitudes, and dominates.  The
-    sum adds the M * N * n_f amplitudes left once a is measured and, before that, the
-    keyed state's M * N * n_f amplitudes and M * n_f keys.  These are allocated bytes,
+    sum adds step 5's output of M * N * n_f amplitudes, the run's first dense state, and,
+    before that, the keyed state's M * N * n_f amplitudes and M * n_f keys; the M * N
+    keyed amplitudes left once a is measured are fewer than either.  These are allocated bytes,
     not resident ones: a returned state of 4 MiB or more is resident only in the pages
     its M * N nonzero amplitudes fall on (see _with_ancillas).
     """

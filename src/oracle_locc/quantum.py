@@ -15,8 +15,10 @@ Each state primitive reads the amplitudes once, as a contiguous
 on; a layout where those are not adjacent and in order is transposed into
 one where they are first.  A KeyedState holds a state whose last digit is a
 function of its leading (row) subsystems: a key per row and the rows' amplitudes.
-Each primitive that takes one gives its dense form's bits: a contract between
-the two forms, not across versions, which may reorder a sum.
+Each primitive that takes one gives its dense form's bits, except a dense
+operator on the key, which is one rounded product per amplitude where the
+dense form's matmul sums zeros too.  That is a contract between the two
+forms, not across versions, which may reorder a sum.
 """
 
 from __future__ import annotations
@@ -132,8 +134,9 @@ class KeyedState(_Layout):
 
     amps has shape (R, L): R merges the first rows subsystems and L those
     between them and the last.  The amplitude of |row, m, key[row]> is
-    amps[row, m]; every other amplitude is zero.  apply_local (a monomial
-    operator on exactly the row subsystems) and the measurement functions take one.
+    amps[row, m]; every other amplitude is zero.  apply_local (see
+    _apply_keyed for the operators it takes), measurement_probabilities,
+    collapse and measure_computational take one.
     """
 
     rows: int
@@ -327,6 +330,11 @@ class LocalOperator:
         mat.setflags(write=False)
         return mat
 
+    @cached_property
+    def unit_phases(self) -> bool:
+        """True when the operator is given by source and phases and every phase is exactly 1."""
+        return self.source is not None and bool((self.phases == 1).all())
+
     @property
     def dim(self) -> int:
         return len(self.dense) if self.dense is not None else len(self.source)
@@ -340,8 +348,9 @@ def apply_local(state: StateVector | KeyedState, op: LocalOperator) -> StateVect
     """Apply op to its target subsystem(s), identity elsewhere.
 
     On the (pre, block, post) array of the state, a monomial operator is one
-    gather along block times its phases and a dense one is one matmul; the
-    global matrix is never materialized.  A keyed state's rows are gathered with their keys.
+    gather along block times its phases (no product when every phase is
+    exactly 1) and a dense one is one matmul; the global matrix is never
+    materialized.  A keyed state takes four kinds of operator (_apply_keyed).
     """
     axes = [state.axis(x) for x in op.target_labels]
     tdims = tuple(state.dims[i] for i in axes)
@@ -349,22 +358,60 @@ def apply_local(state: StateVector | KeyedState, op: LocalOperator) -> StateVect
     if op.dim != block:
         raise ValueError(f"operator dimension {op.dim} does not match target dims {tdims}")
     if isinstance(state, KeyedState):
-        if op.source is None or axes != list(range(state.rows)):
-            raise ValueError(f"a KeyedState takes only an operator given by source and phases on its "
-                             f"row subsystems {state.labels[: state.rows]}, in order, not {op}")
-        out = np.take(state.amps, op.source, axis=0)
-        # numpy multiplies a lone element in place as a reduction, rounding unlike the dense form's longer row.
-        out = np.multiply(out, op.phases[:, None], out=None if out.size == 1 < state.dims[-1] else out)
-        return KeyedState(state.dims, state.labels, state.rows, _Owned(state.key[op.source]), _Owned(out))
+        return _apply_keyed(state, op, axes)
     psi3, order = _grouped(state, axes)
     if op.source is not None:
         out = np.take(psi3, op.source, axis=1)
-        out *= op.phases[:, None]
+        if not op.unit_phases:
+            out *= op.phases[:, None]
     elif psi3.shape[2] == 1:
         out = psi3.reshape(-1, block) @ op.matrix.T
     else:
         out = np.matmul(op.matrix, psi3)
     return StateVector(state.dims, state.labels, _Owned(_ungrouped(out, state.dims, order)))
+
+
+def _apply_keyed(state: KeyedState, op: LocalOperator, axes: list[int]) -> StateVector | KeyedState:
+    """apply_local on a keyed state; each case gives its dense form's bits but the last.
+
+    A monomial on the row subsystems moves the rows with their keys; one on
+    the key alone sends each key through the inverse permutation and phases
+    its row by the new key; one on every subsystem after the rows that keeps
+    each key gathers each row's L amplitudes.  A dense U on the key alone
+    gives the StateVector with amps[row, m] * U[s, key[row]] at |row, m, s>:
+    one rounded product where the dense matmul also sums zeros.  Targets are
+    in order; any other operator is refused.
+    """
+    (R, L), last, K = state.amps.shape, len(state.dims) - 1, state.dims[-1]
+    key, unit = state.key, op.unit_phases
+    if op.source is None and axes == [last]:
+        return StateVector(state.dims, state.labels,
+                           _Owned(state.amps[:, :, None] * op.matrix.T[key][:, None, :]))
+    if op.source is not None and axes == list(range(state.rows)):
+        out, key = np.take(state.amps, op.source, axis=0), key[op.source]
+        phases = None if unit else op.phases[:, None]
+    elif op.source is not None and axes == [last]:
+        inverse = np.empty_like(op.source)  # a scatter: argsort's first call pages in 256 KB of code
+        inverse[op.source] = np.arange(K)
+        key = inverse[key]
+        out = state.amps if unit else state.amps.copy()
+        phases = None if unit else op.phases[key][:, None]
+    elif op.source is not None and axes == list(range(state.rows, last + 1)):
+        source = op.source.reshape(L, K)  # [m, k]: the flat (middle..., key) index that (m, k) reads
+        if (source % K != np.arange(K)).any():
+            raise ValueError(f"{op} moves a row's key, which a KeyedState cannot hold")
+        out = np.take(state.amps, (source // K).T[key] + np.arange(0, R * L, L)[:, None])
+        phases = None if unit else op.phases.reshape(L, K).T[key]
+    else:
+        raise ValueError(f"a KeyedState takes an operator given by source and phases on its row "
+                         f"subsystems {state.labels[: state.rows]} or, keeping each key, on "
+                         f"{state.labels[state.rows :]}, in order, or any operator on its key alone, "
+                         f"not {op}")
+    if not unit:
+        # numpy multiplies a lone element in place as a reduction, rounding unlike the dense form's
+        # longer row.
+        out = np.multiply(out, phases, out=None if out.size == 1 < K else out)
+    return KeyedState(state.dims, state.labels, state.rows, _Owned(key), _Owned(out))
 
 
 def measurement_probabilities(state: StateVector | KeyedState, label: str) -> np.ndarray:
@@ -394,13 +441,16 @@ def measurement_probabilities(state: StateVector | KeyedState, label: str) -> np
 
 def collapse(
     state: StateVector | KeyedState, label: str, outcome: int
-) -> tuple[float, StateVector | None]:
+) -> tuple[float, StateVector | KeyedState | None]:
     """Project a subsystem onto a basis outcome.
 
     Returns the branch probability and the renormalized surviving slice
     (None when the branch has zero weight).  The measured subsystem keeps
     its label but leaves the state at dimension 1: the outcome says which
-    basis state it sits in, so it carries no amplitude of its own.
+    basis state it sits in, so it carries no amplitude of its own.  A keyed
+    state's slice is keyed, at its dense form's bits: on a row subsystem the
+    outcome's rows, on a middle one the outcome's part of every row, and on
+    the key every row, zeroed unless keyed at the outcome, at key 0.
     """
     axis = state.axis(label)
     d = state.dims[axis]
@@ -412,29 +462,27 @@ def collapse(
     return prob, _slice(state, axis, outcome, prob)
 
 
-def _slice(state: StateVector | KeyedState, axis: int, outcome: int, prob: float) -> StateVector:
-    """collapse's surviving slice, given the outcome's probability prob > 0."""
+def _slice(state: StateVector | KeyedState, axis: int, outcome: int, prob: float) -> StateVector | KeyedState:
+    """collapse's surviving slice, given the outcome's probability prob > 0; a keyed state stays keyed."""
     d, post = state.dims[axis], prod(state.dims[axis + 1 :])
     dims = state.dims[:axis] + (1,) + state.dims[axis + 1 :]
-    if isinstance(state, KeyedState) and axis == len(dims) - 1:
-        amps = np.where((state.key == outcome)[:, None], state.amps, 0) / sqrt(prob)
-    elif isinstance(state, KeyedState):
-        kept, key = state.amps, state.key
-        if axis < state.rows:  # the outcome's rows, each with its key
-            pre = prod(state.dims[:axis])
-            kept, key = kept.reshape(pre, d, -1)[:, outcome], key.reshape(pre, d, -1)[:, outcome].reshape(-1)
-        else:  # the outcome's part of every row
-            kept = kept.reshape(len(key), -1, d, post // dims[-1])[:, :, outcome]
-        amps = np.zeros((len(key), kept.size // len(key), dims[-1]), dtype=np.complex128)
-        amps[np.arange(len(key)), :, key] = kept.reshape(len(key), -1) / sqrt(prob)
-    else:
+    if not isinstance(state, KeyedState):
         amps = state.amps.reshape(-1, d, post)[:, outcome] / sqrt(prob)
-    return StateVector(dims, state.labels, _Owned(amps))
+        return StateVector(dims, state.labels, _Owned(amps))
+    kept, key = state.amps, state.key
+    if axis == len(dims) - 1:  # the rows keyed at outcome, every key now 0
+        kept, key = np.where((key == outcome)[:, None], kept, 0), np.zeros_like(key)
+    elif axis < state.rows:  # the outcome's rows, each with its key
+        pre = prod(state.dims[:axis])
+        kept, key = kept.reshape(pre, d, -1)[:, outcome], key.reshape(pre, d, -1)[:, outcome].reshape(-1)
+    else:  # the outcome's part of every row
+        kept = kept.reshape(len(key), -1, d, post // dims[-1])[:, :, outcome]
+    return KeyedState(dims, state.labels, state.rows, _Owned(key), _Owned(kept / sqrt(prob)))
 
 
 def measure_computational(
     state: StateVector | KeyedState, label: str, rng: np.random.Generator | int
-) -> tuple[int, StateVector]:
+) -> tuple[int, StateVector | KeyedState]:
     """Sample a computational-basis measurement of one subsystem.
 
     Returns the outcome and the collapsed state, with the measured subsystem

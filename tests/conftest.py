@@ -18,9 +18,12 @@ import numpy as np
 import pytest
 
 from oracle_locc.oracle import FunctionTable
+from oracle_locc.quantum import KeyedState, StateVector
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
+sys.path.insert(0, str(ROOT / "tools"))
+from transcript_digest import BLOCK_ULPS  # noqa: E402,F401  (the bound tests hold amplitudes to)
 
 
 def src_env() -> dict[str, str]:
@@ -142,6 +145,27 @@ def exhaustive_permutations(max_m: int):
     for M in range(1, max_m + 1):
         for perm in permutations(range(M)):
             yield FunctionTable(M, M, perm)
+
+
+def max_ulps(x, y) -> float:
+    """The largest transcript_digest.ulps over the real and imaginary parts of two complex arrays."""
+    x, y = (np.asarray(z, dtype=np.complex128).reshape(-1).view(np.float64) for z in (x, y))
+    assert x.shape == y.shape
+    scale = np.maximum(np.maximum(np.abs(x), np.abs(y)), 1.0)
+    return float((np.abs(x - y) / np.spacing(scale)).max(initial=0.0))
+
+
+def keyed_positions(state: KeyedState) -> list[int]:
+    """The flat index of each entry (row, m), |row, m, key[row]>, in the order of amps."""
+    (R, L), K = state.amps.shape, state.dims[-1]
+    return [(row * L + m) * K + int(state.key[row]) for row in range(R) for m in range(L)]
+
+
+def dense_form(state: KeyedState) -> StateVector:
+    """The StateVector with the keyed state's amplitudes at their positions and zeros elsewhere."""
+    amps = np.zeros(int(np.prod(state.dims)), dtype=np.complex128)
+    amps[keyed_positions(state)] = state.amps.reshape(-1)
+    return StateVector(state.dims, state.labels, amps)
 
 
 # --- fixtures -------------------------------------------------------------

@@ -57,7 +57,15 @@ from oracle_locc.quantum import (
     tensor,
 )
 
-from conftest import exhaustive_tables, random_table, ref_dft, ref_partition
+from conftest import (
+    BLOCK_ULPS,
+    dense_form,
+    exhaustive_tables,
+    max_ulps,
+    random_table,
+    ref_dft,
+    ref_partition,
+)
 
 WALK_CASES = [
     identity_table(2),
@@ -322,15 +330,28 @@ class TestMeasuredAncillasLeaveTheState:
         )
 
 
+class Recorder(LocalParties):
+    """LocalParties that keeps, by step number, the state each apply step is given and the one it returns."""
+
+    def __init__(self, f):
+        super().__init__(f)
+        self.given, self.made = {}, {}
+
+    def apply(self, step, state, value):
+        self.given[step.step] = state
+        self.made[step.step] = super().apply(step, state, value)
+        return self.made[step.step]
+
+
 def dense_walk(f, input_state, seed):
-    """run_locc's walk from the dense initial_state, as forked_branches builds it: (r, s, final amps).
+    """run_locc's walk from the dense initial_state: (r, s, final amps, the Recorder of its applies).
 
     Every apply goes through LocalParties and each measure through
     measure_computational with run_locc's seeded generator; the final
     amplitudes put the A, B slice back beside the ancillas in |r>, |s>.
     """
     rng = np.random.default_rng(seed)
-    parties = LocalParties(f)
+    parties = Recorder(f)
     state, values = initial_state(f, input_state), {}
     for step in build_locc_script(f):
         if step.action == "apply":
@@ -340,7 +361,7 @@ def dense_walk(f, input_state, seed):
     n = build_partition(f).n_values
     final = np.zeros((f.M, n, f.N, n), dtype=np.complex128)
     final[:, values["r"], :, values["s"]] = state.tensor_view()[:, 0, :, 0]
-    return values["r"], values["s"], final
+    return values["r"], values["s"], final, parties
 
 
 def n_valued_table(M, n_f, rng):
@@ -352,7 +373,7 @@ def n_valued_table(M, n_f, rng):
 
 
 class TestSupportPath:
-    """run_locc holds the state keyed by b until a is measured, at the dense walk's bits."""
+    """run_locc holds the state keyed by b until step 5, at the dense walk's bits until then."""
 
     @pytest.mark.parametrize("M, n_f", [(32, 32), (64, 17)])
     def test_run_locc_equals_the_dense_walk_bit_for_bit(self, M, n_f):
@@ -361,25 +382,25 @@ class TestSupportPath:
         inp = random_state((M, M), ("A", "B"), rng)
         for seed in (0, 1):
             final, transcript, _ = run_locc(f, inp, seed)
-            r, s, expected = dense_walk(f, inp, seed)
+            keyed = Recorder(f)
+            assert execute_script(f, inp, seed, keyed)[0].amps.tobytes() == final.amps.tobytes()
+            r, s, expected, dense = dense_walk(f, inp, seed)
             assert (transcript.r, transcript.s) == (r, s)
-            assert final.amps.tobytes() == expected.tobytes()
+            # Steps 1, 3 and 4 and the measurement of a give the dense walk's bits.
+            before = keyed.given[5]
+            assert dense_form(before).amps.tobytes() == dense.given[5].amps.tobytes()
+            # Step 5 rounds one product per amplitude, so only what follows it is held to a bound.
+            U = step5_operator(f).matrix
+            product = before.amps[:, :, None] * U[:, before.key].T[:, None, :]
+            assert keyed.made[5].amps.tobytes() == product.tobytes()
+            assert max_ulps(final.amps, expected) <= BLOCK_ULPS
 
-    def test_only_step_1_sees_the_keyed_state(self):
-        class Spy(LocalParties):
-            def __init__(self, f):
-                super().__init__(f)
-                self.seen = {}
-
-            def apply(self, step, state, value):
-                self.seen[step.step] = type(state)
-                return super().apply(step, state, value)
-
+    def test_steps_1_to_5_see_the_keyed_state(self):
         f = FunctionTable(4, 3, (2, 0, 2, 1))
-        spy = Spy(f)
+        spy = Recorder(f)
         execute_script(f, random_state((4, 3), ("A", "B"), np.random.default_rng(2)), 3, spy)
-        assert spy.seen == {1: KeyedState, 3: StateVector, 4: StateVector, 5: StateVector,
-                            7: StateVector}
+        assert {step: type(state) for step, state in spy.given.items()} == {
+            1: KeyedState, 3: KeyedState, 4: KeyedState, 5: KeyedState, 7: StateVector}
 
     def test_peak_memory_stays_near_the_returned_state(self):
         rng = np.random.default_rng(32)
@@ -428,6 +449,24 @@ class TestSupportPath:
             tracemalloc.stop()
         # The squared amplitudes are one copy; columns as long as the dense (a, B, b) span are not.
         assert peak < 1.25 * state.amps.nbytes
+
+    def test_steps_3_and_4_move_the_m_n_amplitudes_left_once_a_is_measured(self):
+        M = 32
+        rng = np.random.default_rng(M)
+        f = n_valued_table(M, M, rng)
+        state = apply_local(_initial_support(f, random_state((M, M), ("A", "B"), rng)),
+                            step1_operator(f))
+        r, state = measure_computational(state, "a", 7)
+        step3, step4 = step3_operator(f, r), step4_operator(f)
+        tracemalloc.start()
+        try:
+            apply_local(apply_local(state, step3), step4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # A keyed state holds 16 * M * N bytes of amplitudes here; its dense form, n_f times that.
+        assert peak < 4 * 16 * M * M
+        assert state.amps.nbytes == 16 * M * M
 
 
 def resident_bytes() -> int:

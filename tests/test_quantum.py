@@ -32,7 +32,16 @@ from oracle_locc.quantum import (
 from oracle_locc.locc import step1_operator
 from oracle_locc.oracle import FunctionTable
 
-from conftest import ref_dft, random_unitary, ref_entanglement_entropy, ref_global_apply
+from conftest import (
+    BLOCK_ULPS,
+    dense_form,
+    keyed_positions,
+    max_ulps,
+    random_unitary,
+    ref_dft,
+    ref_entanglement_entropy,
+    ref_global_apply,
+)
 
 
 def bell_pair(labels=("A", "B")) -> StateVector:
@@ -316,19 +325,6 @@ class TestKernels:
         assert_allclose(rho, ref_partial_trace(state, [1]), rtol=0, atol=1e-12)
 
 
-def keyed_positions(state: KeyedState) -> list[int]:
-    """The flat index of each entry (row, m), |row, m, key[row]>, in the order of amps."""
-    (R, L), K = state.amps.shape, state.dims[-1]
-    return [(row * L + m) * K + int(state.key[row]) for row in range(R) for m in range(L)]
-
-
-def dense_form(state: KeyedState) -> StateVector:
-    """The StateVector with the keyed state's amplitudes at their positions and zeros elsewhere."""
-    amps = np.zeros(int(np.prod(state.dims)), dtype=np.complex128)
-    amps[keyed_positions(state)] = state.amps.reshape(-1)
-    return StateVector(state.dims, state.labels, amps)
-
-
 def random_keyed(rng: np.random.Generator, dims: tuple[int, ...], rows: int, labels) -> KeyedState:
     """A keyed state with random keys; about a third of its amplitudes are 0."""
     R, L = int(np.prod(dims[:rows])), int(np.prod(dims[rows:-1]))
@@ -350,8 +346,43 @@ def random_keyed_layout(rng: np.random.Generator, min_rows: int = 0) -> KeyedSta
     return random_keyed(rng, random_layout(rng, count), rows, LABELS[:count])
 
 
+def random_phases(rng: np.random.Generator, d: int) -> np.ndarray:
+    """d random unit phases, or d exact ones (a gather with no product) a quarter of the time."""
+    return np.ones(d) if rng.random() < 0.25 else np.exp(2j * np.pi * rng.random(d))
+
+
+def key_keeping_source(rng: np.random.Generator, state: KeyedState) -> np.ndarray:
+    """A random source on the subsystems after the rows that permutes m within each key k."""
+    (_, L), K = state.amps.shape, state.dims[-1]
+    m = np.stack([rng.permutation(L) for _ in range(K)], axis=1)  # m[m', k]: what (m', k) reads
+    return (m * K + np.arange(K)).reshape(-1)
+
+
+def assert_keyed_bits(out: KeyedState, dense: StateVector) -> None:
+    """At the keyed positions, dense's bits; elsewhere, zeros (the dense product may sign them)."""
+    positions = keyed_positions(out)
+    assert out.amps.tobytes() == dense.amps[positions].tobytes()
+    rest = np.ones(dense.amps.size, dtype=bool)
+    rest[positions] = False
+    assert not dense.amps[rest].any()
+
+
+def assert_same_slice(post, dense_post) -> None:
+    """A keyed slice, by bits through dense_form, or no slice for both."""
+    if post is None:
+        assert dense_post is None
+    else:
+        assert isinstance(post, KeyedState)
+        assert dense_form(post).dims == dense_post.dims
+        assert dense_form(post).amps.tobytes() == dense_post.amps.tobytes()
+
+
 class TestKeyedState:
-    """A keyed state gives the bits its dense form gives, through every primitive it takes."""
+    """A keyed state gives the bits its dense form gives, through every primitive it takes.
+
+    The exception is a dense operator on the key: one rounded product per
+    amplitude, held within BLOCK_ULPS of the dense matmul.
+    """
 
     def test_monomial_apply_on_the_rows_equals_the_dense_gather_bit_for_bit(self, rng):
         for _ in range(200):
@@ -362,14 +393,49 @@ class TestKeyedState:
                                source=rng.permutation(block),
                                phases=np.exp(2j * np.pi * rng.random(block)))
             out = apply_local(state, op)
-            dense = apply_local(dense_form(state), op).amps
             assert isinstance(out, KeyedState) and out.rows == state.rows
-            # At the keyed positions, the same bits; elsewhere, zeros (the dense product may sign them).
-            positions = keyed_positions(out)
-            assert out.amps.tobytes() == dense[positions].tobytes()
-            rest = np.ones(dense.size, dtype=bool)
-            rest[positions] = False
-            assert not dense[rest].any()
+            assert_keyed_bits(out, apply_local(dense_form(state), op))
+
+    def test_monomial_apply_on_the_key_equals_the_dense_gather_bit_for_bit(self, rng):
+        for _ in range(200):
+            state = random_keyed_layout(rng)
+            K = state.dims[-1]
+            op = LocalOperator(state.labels[-1], source=rng.permutation(K), phases=random_phases(rng, K))
+            out = apply_local(state, op)
+            assert isinstance(out, KeyedState) and out.rows == state.rows
+            assert_keyed_bits(out, apply_local(dense_form(state), op))
+
+    def test_key_keeping_monomial_after_the_rows_equals_the_dense_gather_bit_for_bit(self, rng):
+        for _ in range(200):
+            state = random_keyed_layout(rng)
+            source = key_keeping_source(rng, state)
+            op = LocalOperator(state.labels[state.rows :], source=source,
+                               phases=random_phases(rng, source.size))
+            out = apply_local(state, op)
+            assert isinstance(out, KeyedState) and out.rows == state.rows
+            assert out.key.tobytes() == state.key.tobytes()
+            assert_keyed_bits(out, apply_local(dense_form(state), op))
+
+    def test_a_dense_operator_on_the_key_is_one_product_per_amplitude(self, rng):
+        for _ in range(200):
+            state = random_keyed_layout(rng)
+            U = random_unitary(state.dims[-1], rng)
+            out = apply_local(state, LocalOperator(state.labels[-1], U))
+            dense = apply_local(dense_form(state), LocalOperator(state.labels[-1], U))
+            assert isinstance(out, StateVector) and out.dims == state.dims
+            # amps[row, m] * U[s, key[row]] at |row, m, s>, each rounded once.
+            product = state.amps[:, :, None] * U[:, state.key].T[:, None, :]
+            assert out.amps.tobytes() == product.tobytes()
+            assert max_ulps(out.amps, dense.amps) <= BLOCK_ULPS
+
+    @pytest.mark.parametrize("targets", ["b", ("B", "b")], ids=["key", "trailing pair"])
+    def test_a_monomial_on_the_key_or_keeping_keys_after_the_rows_is_taken(self, rng, targets):
+        state = random_keyed(rng, (2, 3, 2, 3), 2, ("A", "a", "B", "b"))
+        source = rng.permutation(3) if targets == "b" else key_keeping_source(rng, state)
+        op = LocalOperator(targets, source=source, phases=np.exp(2j * np.pi * rng.random(source.size)))
+        out = apply_local(state, op)
+        assert isinstance(out, KeyedState)
+        assert_keyed_bits(out, apply_local(dense_form(state), op))
 
     def test_probabilities_and_collapse_equal_the_dense_ones_bit_for_bit(self, rng):
         for _ in range(100):
@@ -382,11 +448,7 @@ class TestKeyedState:
                     prob, post = collapse(state, label, outcome)
                     dense_prob, dense_post = collapse(dense, label, outcome)
                     assert prob == dense_prob == probs[outcome]
-                    if post is None:
-                        assert dense_post is None
-                    else:
-                        assert isinstance(post, StateVector) and post.dims == dense_post.dims
-                        assert post.amps.tobytes() == dense_post.amps.tobytes()
+                    assert_same_slice(post, dense_post)
 
     @pytest.mark.parametrize("dims, rows", [((3, 5, 300, 4), 2), ((2, 1, 700, 3), 1),
                                             ((40, 50, 1, 6), 1)])
@@ -401,8 +463,7 @@ class TestKeyedState:
                 prob, post = collapse(state, label, outcome)
                 dense_prob, dense_post = collapse(dense, label, outcome)
                 assert prob == dense_prob == probs[outcome]
-                assert (post is None and dense_post is None
-                        or post.amps.tobytes() == dense_post.amps.tobytes())
+                assert_same_slice(post, dense_post)
 
     def test_the_key_subsystem_is_measured_by_its_keys(self):
         # Rows (A, a) carry keys 0, 2, 1, 2 on b; B's digit is not b's.
@@ -426,21 +487,32 @@ class TestKeyedState:
                 outcome, post = measure_computational(state, label, seed)
                 dense_outcome, dense_post = measure_computational(dense, label, seed)
                 assert outcome == dense_outcome
-                assert post.amps.tobytes() == dense_post.amps.tobytes()
+                assert_same_slice(post, dense_post)
 
-    @pytest.mark.parametrize("targets", ["A", "a", "b", ("a", "A"), ("a", "B"), ("B", "b"),
-                                         ("A", "B"), ("A", "a", "B")],
-                             ids=["first row", "second row", "key", "reversed", "inner pair",
-                                  "trailing pair", "apart", "past the rows"])
-    def test_an_operator_off_the_row_subsystems_is_refused(self, rng, targets):
+    @pytest.mark.parametrize("targets, kind, match", [
+        ("A", "monomial", "row subsystems"),
+        ("a", "monomial", "row subsystems"),
+        (("a", "A"), "monomial", "row subsystems"),
+        (("a", "B"), "monomial", "row subsystems"),
+        (("A", "B"), "monomial", "row subsystems"),
+        (("A", "a", "B"), "monomial", "row subsystems"),
+        (("B", "b"), "key-moving", "moves a row's key"),
+        (("B", "b"), "dense", "row subsystems"),
+    ], ids=["first row", "second row", "reversed", "inner pair", "apart", "past the rows",
+            "key-moving pair", "dense pair"])
+    def test_an_operator_off_the_row_subsystems_is_refused(self, rng, targets, kind, match):
         state = random_keyed(rng, (2, 3, 2, 3), 2, ("A", "a", "B", "b"))
         labels = (targets,) if isinstance(targets, str) else targets
         d = int(np.prod([state.dim_of(x) for x in labels]))
-        op = LocalOperator(targets, source=rng.permutation(d), phases=np.ones(d))
-        with pytest.raises(ValueError, match="row subsystems"):
+        if kind == "dense":
+            op = LocalOperator(targets, random_unitary(d, rng))
+        else:  # the key-moving one swaps b = 0 and b = 1 at each B
+            source = rng.permutation(d) if kind == "monomial" else np.array([1, 0, 2, 4, 3, 5])
+            op = LocalOperator(targets, source=source, phases=np.ones(d))
+        with pytest.raises(ValueError, match=match):
             apply_local(state, op)
 
-    def test_a_dense_operator_is_refused(self, rng):
+    def test_a_dense_operator_off_the_key_is_refused(self, rng):
         state = random_keyed(rng, (2, 3), 1, ("A", "B"))
         with pytest.raises(ValueError, match="source and phases"):
             apply_local(state, LocalOperator("A", random_unitary(2, rng)))
