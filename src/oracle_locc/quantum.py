@@ -531,8 +531,13 @@ def partial_trace(state: StateVector, keep: Iterable[str]) -> np.ndarray:
 
 
 def entanglement_entropy(state: StateVector, cut: Iterable[str]) -> float:
-    """Von Neumann entropy (base 2) of the reduced state on `cut`, in ebits."""
-    return von_neumann_entropy(partial_trace(state, cut))
+    """Von Neumann entropy (base 2) of the reduced state on `cut`, in ebits.
+
+    A cut of dimension 1 (a measured ancilla) has the reduced state [1], so
+    its entropy is exactly 0, not that of the state's norm as rounded.
+    """
+    rho = partial_trace(state, cut)
+    return 0.0 if len(rho) == 1 else von_neumann_entropy(rho)
 
 
 def von_neumann_entropy(rho: np.ndarray) -> float:

@@ -15,6 +15,7 @@ from oracle_locc.locc import (
     _FRESH_PAGES_BYTES,
     LocalParties,
     _initial_support,
+    _pair_entropy,
     SUBSYSTEM_ORDER,
     _with_ancillas,
     ab_substate,
@@ -759,6 +760,15 @@ class TestTranscriptAndLedger:
         assert ledger.bits_forward_wire == ledger.bits_backward_wire == 2
         zero = make_ledger(1, 0.0, 0.0)
         assert zero.ebits_consumed == 0.0 and zero.bits_forward_wire == 0
+
+    def test_ebits_consumed_is_exactly_the_fresh_pairs_entropy(self):
+        # The measured ancilla a leaves a cut of dimension 1, whose entropy is exactly 0.
+        for M in (3, 8, 16):
+            f = FunctionTable(M, M, tuple((5 * x + 1) % M for x in range(M)))
+            inp = random_state((M, M), ("A", "B"), np.random.default_rng(M))
+            for seed in range(4):
+                _, _, ledger = run_locc(f, inp, rng_seed=seed)
+                assert ledger.ebits_consumed == _pair_entropy(M)
 
     def test_ledger_over_exhaustive_small_tables(self):
         for f in exhaustive_tables(2, 2):

@@ -704,6 +704,13 @@ class TestDensityAndEntropy:
         value = entanglement_entropy(basis_state((2, 2), ("A", "B"), (0, 0)), {"A"})
         assert str(value) == "0.0"
 
+    def test_a_cut_of_dimension_one_has_exactly_zero_entropy(self):
+        # |amps|^2 rounds to 1 + 4.4e-16 here; the reduced state on A is still [1], a pure state.
+        amps = np.full(3, np.sqrt(1 / 3 + 2e-16))
+        state = StateVector((1, 3), ("A", "B"), amps)
+        assert float(np.vdot(amps, amps).real) != 1.0
+        assert str(entanglement_entropy(state, {"A"})) == "0.0"
+
     def test_fidelity(self, rng):
         state = random_state((4,), ("A",), rng)
         assert abs(fidelity(state, state) - 1.0) <= 1e-12
