@@ -179,12 +179,15 @@ def initial_state(f: FunctionTable, input_state: StateVector) -> StateVector:
 
 
 def _initial_support(f: FunctionTable, input_state: StateVector) -> KeyedState:
-    """initial_state as a KeyedState on rows (A, a): row (x, j) holds input[x, :] / sqrt(n_f) at b = j."""
+    """initial_state as a KeyedState on rows (A, a): row (x, j) reads input[x, :] / sqrt(n_f), at b = j.
+
+    The M x N amplitudes are written once: the n_f rows of each x share row x.
+    """
     n = build_partition(f).n_values
     ab = _check_input(input_state, f)
-    amps = np.repeat(ab.tensor_view() * (1.0 / np.sqrt(n)), n, axis=0)
-    key = np.arange(f.M * n) % n
-    return KeyedState((f.M, n, f.N, n), SUBSYSTEM_ORDER, 2, _Owned(key), _Owned(amps))
+    at, key = np.divmod(np.arange(f.M * n), n)
+    amps = ab.tensor_view() * (1.0 / np.sqrt(n))
+    return KeyedState((f.M, n, f.N, n), SUBSYSTEM_ORDER, 2, _Owned(key), _Owned(amps), _Owned(at))
 
 
 # numpy's huge-page size: from it, np.zeros advises huge pages, so the
@@ -395,11 +398,13 @@ def execute_script(
     Referee) performs each apply step as parties.apply(step, state, value),
     value being the r or s the step depends on, and is told about each
     measure and send by parties.measured(step, outcome) and sent(step, value).
-    The state is a KeyedState (_initial_support) until step 5, whose output
-    is the run's first dense state (see apply_local).  A measured ancilla
-    leaves the state (see collapse): the steps after it see that label at
-    dimension 1, and the returned state has both ancillas back at dimension
-    n_f, in |r> and |s>.
+    The state is a KeyedState (_initial_support) until b is measured: its
+    rows share the input's M x N amplitudes until a is measured, and step 5
+    keeps the DFT as its factor, so every array of the walk holds O(M * N +
+    (M + N) * n_f) values.  Step 6's slice is the run's first StateVector.
+    A measured ancilla leaves the state (see collapse): the steps after it
+    see that label at dimension 1, and the returned state has both ancillas
+    back at dimension n_f, in |r> and |s>.
     """
     rng = np.random.default_rng(int(seed))
     script = build_locc_script(f)
@@ -421,16 +426,17 @@ def execute_script(
 
 
 def run_bytes(M: int, N: int, n_f: int) -> int:
-    """The bytes one run's state allocates at its peak, at 16 bytes an amplitude and 8 a key.
+    """The bytes one run allocates at most, at 16 bytes an amplitude and 8 an index.
 
     The returned (A, a, B, b) state has M * N * n_f^2 amplitudes, and dominates.  The
-    sum adds step 5's output of M * N * n_f amplitudes, the run's first dense state, and,
-    before that, the keyed state's M * N * n_f amplitudes and M * n_f keys; the M * N
-    keyed amplitudes left once a is measured are fewer than either.  These are allocated bytes,
+    keyed walk before it holds no more than four arrays of M * N amplitudes and eight
+    words for each entry of the step-1 and step-4 operators, M * n_f and N * n_f of
+    them: under tracemalloc, from _initial_support to step 7, it peaked at 7.0 to 7.5
+    times 16 * M * N bytes at M = N = n_f = 32, 64 and 128.  These are allocated bytes,
     not resident ones: a returned state of 4 MiB or more is resident only in the pages
     its M * N nonzero amplitudes fall on (see _with_ancillas).
     """
-    return 16 * M * N * n_f * n_f + (16 + 16) * M * N * n_f + 8 * M * n_f
+    return 16 * M * N * n_f * n_f + 4 * 16 * M * N + 8 * 8 * (M + N) * n_f
 
 
 def run_locc(

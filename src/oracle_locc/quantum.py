@@ -14,17 +14,21 @@ Each state primitive reads the amplitudes once, as a contiguous
 (pre, block, post) array whose middle axis merges the subsystems it acts
 on; a layout where those are not adjacent and in order is transposed into
 one where they are first.  A KeyedState holds a state whose last digit is a
-function of its leading (row) subsystems: a key per row and the rows' amplitudes.
-Each primitive that takes one gives its dense form's bits, except a dense
-operator on the key, which is one rounded product per amplitude where the
-dense form's matmul sums zeros too.  That is a contract between the two
-forms, not across versions, which may reorder a sum.
+function of its leading (row) subsystems: a key per row and, through an
+index per row, an amplitude row, which rows may share.  A dense operator on
+the key stays a factor of the keyed state until the key is measured.  Each
+primitive that takes a keyed state gives its dense form's bits, except on
+one with a factor: its key's outcome weights are |U|^2 @ (each key's row
+weights), a sum in another order than the dense form's, and its slice rounds
+one product per amplitude where the dense form's matmul also sums zeros.
+That is a contract between the two forms, not across versions, which may
+reorder a sum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import prod, sqrt
 from typing import Iterable, Sequence
 
@@ -63,10 +67,43 @@ def _frozen(values, size: int | None = None, dtype=np.complex128) -> np.ndarray:
     return arr
 
 
-def _check_normalized(amps: np.ndarray) -> None:
-    norm2 = float(np.vdot(amps, amps).real)
+def _check_normalized(amps: np.ndarray, at: np.ndarray | None = None) -> None:
+    """Raise unless |amps|^2 is 1 within 1e-9; if at is given, that of the rows amps[at] of a 2-D amps."""
+    if at is None:
+        norm2 = float(np.vdot(amps, amps).real)
+    else:
+        real = amps.view(np.float64)
+        norm2 = float(np.einsum("ij,ij->i", real, real)[at].sum())
     if not abs(norm2 - 1.0) <= 1e-9:  # written so that NaN fails too
         raise ValueError(f"state is not normalized: |amps|^2 = {norm2}")
+
+
+# Every layout checked so far, as (dims, labels) of ints and strs, keyed by itself.  A
+# pair given equal to a key converts to that key: a label equal to a str is that str,
+# and a dimension equal to an int has that int.  So a state of a known layout builds
+# no new tuples.
+_LAYOUTS: dict[tuple, tuple[tuple[int, ...], tuple[str, ...]]] = {}
+_LAYOUTS_MAX = 1024
+
+
+def _layout(dims, labels) -> tuple[tuple[int, ...], tuple[str, ...]]:
+    """dims and labels as checked tuples of ints and strs, or ValueError."""
+    try:
+        known = _LAYOUTS.get((dims, labels))
+    except TypeError:  # unhashable, such as a list
+        known = None
+    if known is not None:
+        return known
+    dims, labels = tuple(map(int, dims)), tuple(map(str, labels))
+    if len(dims) != len(labels):
+        raise ValueError("dims and labels must have equal length")
+    if min(dims, default=1) < 1:
+        raise ValueError("subsystem dimensions must be >= 1")
+    if len(set(labels)) != len(labels):
+        raise ValueError(f"duplicate subsystem labels in {labels}")
+    if len(_LAYOUTS) < _LAYOUTS_MAX:
+        _LAYOUTS[dims, labels] = dims, labels
+    return dims, labels
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,14 +114,7 @@ class _Layout:
     labels: tuple[str, ...]
 
     def __post_init__(self):
-        dims = tuple(map(int, self.dims))
-        labels = tuple(map(str, self.labels))
-        if len(dims) != len(labels):
-            raise ValueError("dims and labels must have equal length")
-        if min(dims, default=1) < 1:
-            raise ValueError("subsystem dimensions must be >= 1")
-        if len(set(labels)) != len(labels):
-            raise ValueError(f"duplicate subsystem labels in {labels}")
+        dims, labels = _layout(self.dims, self.labels)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "labels", labels)
 
@@ -132,32 +162,68 @@ class StateVector(_Layout):
 class KeyedState(_Layout):
     """Normalized pure state whose last subsystem's digit is a function of its first `rows` subsystems.
 
-    amps has shape (R, L): R merges the first rows subsystems and L those
-    between them and the last.  The amplitude of |row, m, key[row]> is
-    amps[row, m]; every other amplitude is zero.  apply_local (see
-    _apply_keyed for the operators it takes), measurement_probabilities,
-    collapse and measure_computational take one.
+    R merges the first rows subsystems and L those between them and the
+    last, the key.  amps has shape (S, L), and row i reads the amplitude row
+    at[i], so rows may share one; at defaults to one row each, range(R).
+    The amplitude of |row, m, key[row]> is amps[at[row], m] and every other
+    amplitude is zero, unless factor, a LocalOperator U on the key, is
+    given: then the amplitude of |row, m, s> is amps[at[row], m] * U[s,
+    key[row]].  apply_local (see _apply_keyed for the operators it takes),
+    measurement_probabilities, collapse and measure_computational take a
+    state without factor; one with factor is only measured on its key.
     """
 
     rows: int
     key: np.ndarray
     amps: np.ndarray
+    at: np.ndarray | None = None
+    factor: LocalOperator | None = None
 
     def __post_init__(self):
         super().__post_init__()
         if not 0 <= self.rows < len(self.dims):
             raise ValueError(f"rows must leave the last subsystem as the key, got {self.rows}")
-        given = self.key.array if isinstance(self.key, _Owned) else np.asarray(self.key)
-        if given.dtype.kind not in "iu":  # the cast to np.intp would truncate 2.7 to 2
-            raise ValueError(f"keys must be integers, not {given.dtype}")
-        R = prod(self.dims[: self.rows])
-        key = _frozen(self.key, dtype=np.intp)
-        if key.size != R or key.min() < 0 or key.max() >= self.dims[-1]:
-            raise ValueError(f"keys must be {R} integers in [0, {self.dims[-1]}), one per row")
-        amps = _frozen(self.amps, R * prod(self.dims[self.rows : -1])).reshape(R, -1)
-        _check_normalized(amps)
+        R, L, K = prod(self.dims[: self.rows]), prod(self.dims[self.rows : -1]), self.dims[-1]
+        key = _indices(self.key, R, K, "keys")
+        given = self.at.array if isinstance(self.at, _Owned) else self.at
+        if given is None or given is _rows(R):  # one amplitude row each, in order
+            at, amps, shared = _rows(R), _frozen(self.amps, R * L).reshape(R, L), None
+        else:
+            amps = _frozen(self.amps)
+            if amps.size % L or not amps.size:
+                raise ValueError(f"amplitude vector has length {amps.size}, not a multiple of {L} > 0")
+            amps = amps.reshape(-1, L)
+            at = shared = _indices(self.at, R, len(amps), "at")
+        _check_normalized(amps, shared)
+        factor = self.factor
+        if factor is not None and not (isinstance(factor, LocalOperator) and factor.dim == K):
+            raise ValueError(f"factor must be a LocalOperator of dimension {K}, the key's")
         object.__setattr__(self, "key", key)
+        object.__setattr__(self, "at", at)
         object.__setattr__(self, "amps", amps)
+
+
+_FACTORED = "a KeyedState with a factor on its key is only measured on its key"
+
+
+@lru_cache(maxsize=16)
+def _rows(count: int) -> np.ndarray:
+    """range(count), frozen: the at of every KeyedState of count rows that share no amplitude row."""
+    at = np.arange(count)
+    at.setflags(write=False)
+    return at
+
+
+def _indices(values, count: int, bound: int, name: str) -> np.ndarray:
+    """values as a frozen np.intp vector of count integers in [0, bound), or ValueError."""
+    given = values.array if isinstance(values, _Owned) else np.asarray(values)
+    if given.dtype.kind not in "iu":  # the cast to np.intp would truncate 2.7 to 2
+        raise ValueError(f"{name} must be integers, not {given.dtype}")
+    index = _frozen(values, dtype=np.intp)
+    # As unsigned, a negative index exceeds any bound, so one max checks both ends.
+    if index.size != count or index.view(np.uintp).max() >= bound:
+        raise ValueError(f"{name} must be {count} integers in [0, {bound}), one per row")
+    return index
 
 
 def basis_state(
@@ -331,6 +397,14 @@ class LocalOperator:
         return mat
 
     @cached_property
+    def squared_moduli(self) -> np.ndarray:
+        """|matrix|^2 entry by entry (read-only), built on first read."""
+        mat = self.matrix
+        squared = mat.real**2 + mat.imag**2
+        squared.setflags(write=False)
+        return squared
+
+    @cached_property
     def unit_phases(self) -> bool:
         """True when the operator is given by source and phases and every phase is exactly 1."""
         return self.source is not None and bool((self.phases == 1).all())
@@ -371,36 +445,39 @@ def apply_local(state: StateVector | KeyedState, op: LocalOperator) -> StateVect
     return StateVector(state.dims, state.labels, _Owned(_ungrouped(out, state.dims, order)))
 
 
-def _apply_keyed(state: KeyedState, op: LocalOperator, axes: list[int]) -> StateVector | KeyedState:
-    """apply_local on a keyed state; each case gives its dense form's bits but the last.
+def _apply_keyed(state: KeyedState, op: LocalOperator, axes: list[int]) -> KeyedState:
+    """apply_local on a keyed state without factor, at its dense form's bits but for a dense U.
 
-    A monomial on the row subsystems moves the rows with their keys; one on
-    the key alone sends each key through the inverse permutation and phases
-    its row by the new key; one on every subsystem after the rows that keeps
-    each key gathers each row's L amplitudes.  A dense U on the key alone
-    gives the StateVector with amps[row, m] * U[s, key[row]] at |row, m, s>:
-    one rounded product where the dense matmul also sums zeros.  Targets are
-    in order; any other operator is refused.
+    A monomial on the row subsystems moves the rows, each with its key and
+    amplitude row; one on the key alone sends each key through the inverse
+    permutation and phases its row by the new key; one on every subsystem
+    after the rows that keeps each key gathers each row's L amplitudes.
+    Unit phases leave the amplitude rows shared; a product or gather gives
+    each row its own.  A dense U on the key alone is kept as the state's
+    factor, so that no amplitude is multiplied before the key is measured.
+    Targets are in order; any other operator is refused.
     """
-    (R, L), last, K = state.amps.shape, len(state.dims) - 1, state.dims[-1]
-    key, unit = state.key, op.unit_phases
+    (S, L), last, K = state.amps.shape, len(state.dims) - 1, state.dims[-1]
+    key, at, unit = state.key, state.at, op.unit_phases
+    if state.factor is not None:
+        raise ValueError(f"{_FACTORED}, not given {op}")
     if op.source is None and axes == [last]:
-        return StateVector(state.dims, state.labels,
-                           _Owned(state.amps[:, :, None] * op.matrix.T[key][:, None, :]))
+        return KeyedState(state.dims, state.labels, state.rows, _Owned(key), _Owned(state.amps),
+                          _Owned(at), op)
+    out = state.amps
     if op.source is not None and axes == list(range(state.rows)):
-        out, key = np.take(state.amps, op.source, axis=0), key[op.source]
+        key, at = key[op.source], at[op.source]
         phases = None if unit else op.phases[:, None]
     elif op.source is not None and axes == [last]:
         inverse = np.empty_like(op.source)  # a scatter: argsort's first call pages in 256 KB of code
         inverse[op.source] = np.arange(K)
         key = inverse[key]
-        out = state.amps if unit else state.amps.copy()
         phases = None if unit else op.phases[key][:, None]
     elif op.source is not None and axes == list(range(state.rows, last + 1)):
         source = op.source.reshape(L, K)  # [m, k]: the flat (middle..., key) index that (m, k) reads
         if (source % K != np.arange(K)).any():
             raise ValueError(f"{op} moves a row's key, which a KeyedState cannot hold")
-        out = np.take(state.amps, (source // K).T[key] + np.arange(0, R * L, L)[:, None])
+        out, at = np.take(out, (source // K).T[key] + at[:, None] * L), None
         phases = None if unit else op.phases.reshape(L, K).T[key]
     else:
         raise ValueError(f"a KeyedState takes an operator given by source and phases on its row "
@@ -408,10 +485,13 @@ def _apply_keyed(state: KeyedState, op: LocalOperator, axes: list[int]) -> State
                          f"{state.labels[state.rows :]}, in order, or any operator on its key alone, "
                          f"not {op}")
     if not unit:
+        if at is not None:  # rows sharing an amplitude row may take different phases
+            out, at = out[at], None
         # numpy multiplies a lone element in place as a reduction, rounding unlike the dense form's
         # longer row.
         out = np.multiply(out, phases, out=None if out.size == 1 < K else out)
-    return KeyedState(state.dims, state.labels, state.rows, _Owned(key), _Owned(out))
+    return KeyedState(state.dims, state.labels, state.rows, _Owned(key), _Owned(out),
+                      None if at is None else _Owned(at))
 
 
 def measurement_probabilities(state: StateVector | KeyedState, label: str) -> np.ndarray:
@@ -420,22 +500,39 @@ def measurement_probabilities(state: StateVector | KeyedState, label: str) -> np
     Before the last subsystem, the squared re and im parts are summed over
     the last (a keyed state holds one nonzero value there, so its squared
     amplitudes are these sums, exact in any order), then over each
-    contiguous (before..., outcome) row, then over each outcome's rows.  The
-    last subsystem's squared columns are summed over the rows in ascending
-    order, by einsum or, on a keyed state, by bincount on the keys.
+    contiguous (before..., outcome) row, then over each outcome's rows.  A
+    keyed state sums each amplitude row once and reads the sums through at,
+    except before its last row subsystem, where one sum spans several rows.
+    The last subsystem's squared columns are summed over the rows in
+    ascending order, by einsum or, on a keyed state, by bincount on the
+    keys; with a factor U, p = |U|^2 @ (each key's row weights).
     """
     axis, d = state.axis(label), state.dim_of(label)
+    last = len(state.dims) - 1
     if isinstance(state, KeyedState):
-        weights = state.amps.view(np.float64) ** 2  # re, im interleaved
-        if axis == len(state.dims) - 1:
-            bins = np.repeat(2 * state.key, state.amps.shape[1])[:, None] + (0, 1)
-            return np.bincount(bins.reshape(-1), weights.reshape(-1), 2 * d).reshape(d, 2).sum(axis=1)
+        if state.factor is not None and axis != last:
+            raise ValueError(f"{_FACTORED}, not on {label!r}")
+        if axis < state.rows - 1 or (axis == last and state.factor is None):
+            # One sum spans several rows, or the key's bins take each square in row order.
+            weights = state.amps[state.at].view(np.float64) ** 2  # re, im interleaved
+            if axis == last:
+                bins = np.repeat(2 * state.key, state.amps.shape[1])[:, None] + (0, 1)
+                sums = np.bincount(bins.reshape(-1), weights.reshape(-1), 2 * d)
+                return sums.reshape(d, 2).sum(axis=1)
+            rows = weights.reshape(prod(state.dims[: axis + 1]), -1).sum(axis=1)
+        else:
+            # Each amplitude row's sums once, its squares freed before the sums are read through at.
+            S, span = len(state.amps), prod(state.dims[state.rows : axis + 1]) if axis < last else 1
+            rows = (state.amps.view(np.float64) ** 2).reshape(S * span, -1).sum(axis=1)
+            rows = rows.reshape(S, span)[state.at]
+            if axis == last:  # each key's row weights, spread by |U|^2
+                return state.factor.squared_moduli @ np.bincount(state.key, rows.reshape(-1), d)
     else:
         real = state.amps.reshape(-1, state.dims[-1]).view(np.float64)
-        if axis == len(state.dims) - 1:
+        if axis == last:
             return np.einsum("ij,ij->j", real, real).reshape(d, 2).sum(axis=1)
         weights = np.stack([np.einsum("ij,ij->i", real[:, p::2], real[:, p::2]) for p in (0, 1)], axis=1)
-    rows = weights.reshape(prod(state.dims[: axis + 1]), -1).sum(axis=1)
+        rows = weights.reshape(prod(state.dims[: axis + 1]), -1).sum(axis=1)
     return rows.reshape(-1, d).sum(axis=0)
 
 
@@ -449,8 +546,11 @@ def collapse(
     its label but leaves the state at dimension 1: the outcome says which
     basis state it sits in, so it carries no amplitude of its own.  A keyed
     state's slice is keyed, at its dense form's bits: on a row subsystem the
-    outcome's rows, on a middle one the outcome's part of every row, and on
-    the key every row, zeroed unless keyed at the outcome, at key 0.
+    outcome's rows, each with its own amplitude row; on a middle one the
+    outcome's part of every amplitude row; and on the key every row, zeroed
+    unless keyed at the outcome, at key 0.  On the key of a state with
+    factor U, the slice at s is the StateVector amps[at] * U[s, key][:, None]
+    / sqrt(p(s)).
     """
     axis = state.axis(label)
     d = state.dims[axis]
@@ -463,21 +563,25 @@ def collapse(
 
 
 def _slice(state: StateVector | KeyedState, axis: int, outcome: int, prob: float) -> StateVector | KeyedState:
-    """collapse's surviving slice, given the outcome's probability prob > 0; a keyed state stays keyed."""
+    """collapse's surviving slice, given the outcome's probability prob > 0 (see collapse)."""
     d, post = state.dims[axis], prod(state.dims[axis + 1 :])
     dims = state.dims[:axis] + (1,) + state.dims[axis + 1 :]
     if not isinstance(state, KeyedState):
         amps = state.amps.reshape(-1, d, post)[:, outcome] / sqrt(prob)
         return StateVector(dims, state.labels, _Owned(amps))
-    kept, key = state.amps, state.key
+    kept, key, at = state.amps, state.key, state.at
+    if state.factor is not None:  # measurement_probabilities took only the key
+        column = state.factor.matrix[outcome, key][:, None]
+        return StateVector(dims, state.labels, _Owned(kept[at] * column / sqrt(prob)))
     if axis == len(dims) - 1:  # the rows keyed at outcome, every key now 0
-        kept, key = np.where((key == outcome)[:, None], kept, 0), np.zeros_like(key)
+        kept, key, at = np.where((key == outcome)[:, None], kept[at], 0), np.zeros_like(key), None
     elif axis < state.rows:  # the outcome's rows, each with its key
         pre = prod(state.dims[:axis])
-        kept, key = kept.reshape(pre, d, -1)[:, outcome], key.reshape(pre, d, -1)[:, outcome].reshape(-1)
-    else:  # the outcome's part of every row
-        kept = kept.reshape(len(key), -1, d, post // dims[-1])[:, :, outcome]
-    return KeyedState(dims, state.labels, state.rows, _Owned(key), _Owned(kept / sqrt(prob)))
+        kept, at = kept[at.reshape(pre, d, -1)[:, outcome].reshape(-1)], None
+        key = key.reshape(pre, d, -1)[:, outcome].reshape(-1)
+    else:  # the outcome's part of every amplitude row
+        kept, at = kept.reshape(len(kept), -1, d, post // dims[-1])[:, :, outcome], _Owned(at)
+    return KeyedState(dims, state.labels, state.rows, _Owned(key), _Owned(kept / sqrt(prob)), at)
 
 
 def measure_computational(

@@ -156,15 +156,24 @@ def max_ulps(x, y) -> float:
 
 
 def keyed_positions(state: KeyedState) -> list[int]:
-    """The flat index of each entry (row, m), |row, m, key[row]>, in the order of amps."""
-    (R, L), K = state.amps.shape, state.dims[-1]
-    return [(row * L + m) * K + int(state.key[row]) for row in range(R) for m in range(L)]
+    """The flat index of each entry (row, m), |row, m, key[row]>, in the order of amps[at]."""
+    L, K = state.amps.shape[1], state.dims[-1]
+    return [(row * L + m) * K + int(state.key[row]) for row in range(len(state.key)) for m in range(L)]
 
 
 def dense_form(state: KeyedState) -> StateVector:
-    """The StateVector with the keyed state's amplitudes at their positions and zeros elsewhere."""
+    """The StateVector a keyed state stands for.
+
+    Without factor, each row's amplitudes amps[at[row]] at their positions and zeros
+    elsewhere; with factor U, amps[at[row], m] * U[s, key[row]] at |row, m, s>, each
+    rounded once.
+    """
+    rows = state.amps[state.at]
+    if state.factor is not None:
+        product = rows[:, :, None] * state.factor.matrix[:, state.key].T[:, None, :]
+        return StateVector(state.dims, state.labels, product)
     amps = np.zeros(int(np.prod(state.dims)), dtype=np.complex128)
-    amps[keyed_positions(state)] = state.amps.reshape(-1)
+    amps[keyed_positions(state)] = rows.reshape(-1)
     return StateVector(state.dims, state.labels, amps)
 
 

@@ -344,6 +344,18 @@ class Recorder(LocalParties):
         return self.made[step.step]
 
 
+def walk(f, state, seed, parties):
+    """The script's applies (through parties) and measures from state: (values, the state after step 7)."""
+    rng = np.random.default_rng(seed)
+    values = {}
+    for step in build_locc_script(f):
+        if step.action == "apply":
+            state = parties.apply(step, state, values.get(step.depends_on))
+        elif step.action == "measure":
+            values[step.value], state = measure_computational(state, step.targets[0], rng)
+    return values, state
+
+
 def dense_walk(f, input_state, seed):
     """run_locc's walk from the dense initial_state: (r, s, final amps, the Recorder of its applies).
 
@@ -351,14 +363,8 @@ def dense_walk(f, input_state, seed):
     measure_computational with run_locc's seeded generator; the final
     amplitudes put the A, B slice back beside the ancillas in |r>, |s>.
     """
-    rng = np.random.default_rng(seed)
     parties = Recorder(f)
-    state, values = initial_state(f, input_state), {}
-    for step in build_locc_script(f):
-        if step.action == "apply":
-            state = parties.apply(step, state, values.get(step.depends_on))
-        elif step.action == "measure":
-            values[step.value], state = measure_computational(state, step.targets[0], rng)
+    values, state = walk(f, initial_state(f, input_state), seed, parties)
     n = build_partition(f).n_values
     final = np.zeros((f.M, n, f.N, n), dtype=np.complex128)
     final[:, values["r"], :, values["s"]] = state.tensor_view()[:, 0, :, 0]
@@ -374,7 +380,7 @@ def n_valued_table(M, n_f, rng):
 
 
 class TestSupportPath:
-    """run_locc holds the state keyed by b until step 5, at the dense walk's bits until then."""
+    """run_locc holds the state keyed by b until b is measured, at the dense walk's bits until step 5."""
 
     @pytest.mark.parametrize("M, n_f", [(32, 32), (64, 17)])
     def test_run_locc_equals_the_dense_walk_bit_for_bit(self, M, n_f):
@@ -390,10 +396,13 @@ class TestSupportPath:
             # Steps 1, 3 and 4 and the measurement of a give the dense walk's bits.
             before = keyed.given[5]
             assert dense_form(before).amps.tobytes() == dense.given[5].amps.tobytes()
-            # Step 5 rounds one product per amplitude, so only what follows it is held to a bound.
+            # Step 5 keeps the DFT as a factor: one rounded product per amplitude where the dense
+            # walk's matmul sums zeros too, so only step 5's output and what follows it are
+            # held to a bound.
             U = step5_operator(f).matrix
-            product = before.amps[:, :, None] * U[:, before.key].T[:, None, :]
-            assert keyed.made[5].amps.tobytes() == product.tobytes()
+            product = before.amps[before.at][:, :, None] * U[:, before.key].T[:, None, :]
+            assert dense_form(keyed.made[5]).amps.tobytes() == product.tobytes()
+            assert max_ulps(product, dense.made[5].amps) <= BLOCK_ULPS
             assert max_ulps(final.amps, expected) <= BLOCK_ULPS
 
     def test_steps_1_to_5_see_the_keyed_state(self):
@@ -402,6 +411,10 @@ class TestSupportPath:
         execute_script(f, random_state((4, 3), ("A", "B"), np.random.default_rng(2)), 3, spy)
         assert {step: type(state) for step, state in spy.given.items()} == {
             1: KeyedState, 3: KeyedState, 4: KeyedState, 5: KeyedState, 7: StateVector}
+        # Step 6 measures the keyed state that step 5 made, its DFT kept as a factor, and step 7
+        # gets the StateVector that measurement returns.
+        assert spy.made[5].factor is not None and spy.made[5].factor.matrix is step5_operator(f).matrix
+        assert spy.given[7].dims == (4, 1, 3, 1)
 
     def test_peak_memory_stays_near_the_returned_state(self):
         rng = np.random.default_rng(32)
@@ -450,6 +463,40 @@ class TestSupportPath:
             tracemalloc.stop()
         # The squared amplitudes are one copy; columns as long as the dense (a, B, b) span are not.
         assert peak < 1.25 * state.amps.nbytes
+
+    def test_a_run_holds_a_few_m_n_arrays_until_the_returned_state(self):
+        M = 32
+        rng = np.random.default_rng(M)
+        f = n_valued_table(M, M, rng)
+        inp = random_state((M, M), ("A", "B"), rng)
+        build_partition(f), step5_operator(f)  # cached, on the table and per n_f
+        tracemalloc.start()
+        try:
+            _, state = walk(f, _initial_support(f, inp), 5, LocalParties(f))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert isinstance(state, StateVector) and state.dims == (M, 1, M, 1)
+        # From the input to step 7, each array holds M * N amplitudes or M * n_f indices; one
+        # M * N * n_f array, as a keyed state copied n_f times or a dense step 5 holds, would
+        # take 16 * M * M * M bytes by itself.
+        assert peak < 8 * 16 * M * M
+
+    @pytest.mark.parametrize("M, N, n_f", [(32, 32, 32), (128, 4, 4), (16, 128, 16), (128, 16, 16)])
+    def test_the_keyed_walk_stays_within_run_bytes_less_the_returned_state(self, M, N, n_f):
+        rng = np.random.default_rng(M + N)
+        values = rng.choice(N, size=n_f, replace=False)
+        picks = np.concatenate([np.arange(n_f), rng.integers(0, n_f, size=M - n_f)])
+        f = FunctionTable(M, N, tuple(int(values[k]) for k in rng.permutation(picks)))
+        inp = random_state((M, N), ("A", "B"), rng)
+        build_partition(f), step5_operator(f)
+        tracemalloc.start()
+        try:
+            walk(f, _initial_support(f, inp), 1, LocalParties(f))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= run_bytes(M, N, n_f) - 16 * M * N * n_f * n_f
 
     def test_steps_3_and_4_move_the_m_n_amplitudes_left_once_a_is_measured(self):
         M = 32

@@ -78,6 +78,13 @@ class TestStateVector:
         with pytest.raises(ValueError):
             basis_state((2,), ("A",), (2,))
 
+    @pytest.mark.parametrize("first", [1, True, 1.0, "1"])
+    def test_a_layout_converts_alike_whatever_layout_came_before(self, first):
+        StateVector((2,), (first,), [1, 0])
+        for label in (1, True, 1.0, "1"):
+            state = StateVector((2.0,), (label,), [1, 0])
+            assert state.labels == (str(label),) and state.dims == (2,) and type(state.dims[0]) is int
+
     def test_amps_are_read_only(self):
         state = basis_state((2,), ("A",), (0,))
         with pytest.raises(ValueError):
@@ -325,25 +332,32 @@ class TestKernels:
         assert_allclose(rho, ref_partial_trace(state, [1]), rtol=0, atol=1e-12)
 
 
-def random_keyed(rng: np.random.Generator, dims: tuple[int, ...], rows: int, labels) -> KeyedState:
-    """A keyed state with random keys; about a third of its amplitudes are 0."""
+def random_keyed(rng: np.random.Generator, dims: tuple[int, ...], rows: int, labels,
+                 shared: bool = False) -> KeyedState:
+    """A keyed state with random keys; about a third of its amplitudes are 0.
+
+    With shared, each row reads one of 1 to R amplitude rows, drawn at random
+    through at, so rows repeat.
+    """
     R, L = int(np.prod(dims[:rows])), int(np.prod(dims[rows:-1]))
     key = rng.integers(0, dims[-1], size=R)
+    at = rng.integers(0, rng.integers(1, R + 1), size=R) if shared else np.arange(R)
     amps = rng.standard_normal((R, L)) + 1j * rng.standard_normal((R, L))
     amps[rng.random((R, L)) < 0.3] = 0.0
-    if not amps.any():
-        amps[-1, -1] = 1.0
-    return KeyedState(dims, labels, rows, key, amps / np.linalg.norm(amps))
+    if not amps[at].any():
+        amps[at[-1], -1] = 1.0
+    amps /= np.linalg.norm(amps[at])
+    return KeyedState(dims, labels, rows, key, amps, at if shared else None)
 
 
 LABELS = ("A", "a", "B", "b", "c")
 
 
-def random_keyed_layout(rng: np.random.Generator, min_rows: int = 0) -> KeyedState:
+def random_keyed_layout(rng: np.random.Generator, min_rows: int = 0, shared: bool = False) -> KeyedState:
     """A random keyed state over 2 to 5 subsystems of dims 1 to 4, with min_rows or more rows."""
     count = int(rng.integers(max(2, min_rows + 1), 6))
     rows = int(rng.integers(min_rows, count))
-    return random_keyed(rng, random_layout(rng, count), rows, LABELS[:count])
+    return random_keyed(rng, random_layout(rng, count), rows, LABELS[:count], shared)
 
 
 def random_phases(rng: np.random.Generator, d: int) -> np.ndarray:
@@ -361,7 +375,8 @@ def key_keeping_source(rng: np.random.Generator, state: KeyedState) -> np.ndarra
 def assert_keyed_bits(out: KeyedState, dense: StateVector) -> None:
     """At the keyed positions, dense's bits; elsewhere, zeros (the dense product may sign them)."""
     positions = keyed_positions(out)
-    assert out.amps.tobytes() == dense.amps[positions].tobytes()
+    assert out.factor is None
+    assert out.amps[out.at].tobytes() == dense.amps[positions].tobytes()
     rest = np.ones(dense.amps.size, dtype=bool)
     rest[positions] = False
     assert not dense.amps[rest].any()
@@ -416,17 +431,82 @@ class TestKeyedState:
             assert out.key.tobytes() == state.key.tobytes()
             assert_keyed_bits(out, apply_local(dense_form(state), op))
 
-    def test_a_dense_operator_on_the_key_is_one_product_per_amplitude(self, rng):
+    def test_a_dense_operator_on_the_key_is_kept_as_a_factor(self, rng):
         for _ in range(200):
-            state = random_keyed_layout(rng)
-            U = random_unitary(state.dims[-1], rng)
-            out = apply_local(state, LocalOperator(state.labels[-1], U))
-            dense = apply_local(dense_form(state), LocalOperator(state.labels[-1], U))
-            assert isinstance(out, StateVector) and out.dims == state.dims
-            # amps[row, m] * U[s, key[row]] at |row, m, s>, each rounded once.
-            product = state.amps[:, :, None] * U[:, state.key].T[:, None, :]
-            assert out.amps.tobytes() == product.tobytes()
-            assert max_ulps(out.amps, dense.amps) <= BLOCK_ULPS
+            state = random_keyed_layout(rng, shared=rng.random() < 0.5)
+            op = LocalOperator(state.labels[-1], random_unitary(state.dims[-1], rng))
+            out = apply_local(state, op)
+            dense = apply_local(dense_form(state), op)
+            assert isinstance(out, KeyedState) and out.factor is op and out.dims == state.dims
+            for array in ("amps", "at", "key"):  # nothing is copied or multiplied
+                assert np.shares_memory(getattr(out, array), getattr(state, array))
+            # amps[at[row], m] * U[s, key[row]] at |row, m, s>, each rounded once.
+            product = state.amps[state.at][:, :, None] * op.matrix[:, state.key].T[:, None, :]
+            assert dense_form(out).amps.tobytes() == product.tobytes()
+            assert max_ulps(dense_form(out).amps, dense.amps) <= BLOCK_ULPS
+
+    def test_a_factor_on_the_key_is_measured_like_its_dense_form(self, rng):
+        for _ in range(200):
+            state = random_keyed_layout(rng, shared=rng.random() < 0.5)
+            key_label, K = state.labels[-1], state.dims[-1]
+            U = random_unitary(K, rng)
+            out = apply_local(state, LocalOperator(key_label, U))
+            dense = apply_local(dense_form(state), LocalOperator(key_label, U))
+            probs = measurement_probabilities(out, key_label)
+            # |U|^2 @ (each key's row weights) sums in another order than the dense einsum.
+            assert max_ulps(probs, measurement_probabilities(dense, key_label)) <= BLOCK_ULPS
+            for s in range(K):
+                prob, post = collapse(out, key_label, s)
+                assert prob == probs[s] > 0
+                expected = state.amps[state.at] * U[s, state.key][:, None] / np.sqrt(prob)
+                assert isinstance(post, StateVector) and post.dims == state.dims[:-1] + (1,)
+                assert post.amps.tobytes() == expected.reshape(-1).tobytes()
+                assert max_ulps(post.amps, collapse(dense, key_label, s)[1].amps) <= BLOCK_ULPS
+            outcome, post = measure_computational(out, key_label, 7)
+            assert post.amps.tobytes() == collapse(out, key_label, outcome)[1].amps.tobytes()
+
+    @pytest.mark.parametrize("primitive", ["apply", "probabilities", "collapse", "measure"])
+    def test_a_state_with_a_factor_is_only_measured_on_its_key(self, rng, primitive):
+        state = random_keyed(rng, (2, 3, 2, 3), 2, ("A", "a", "B", "b"), shared=True)
+        out = apply_local(state, LocalOperator("b", random_unitary(3, rng)))
+        with pytest.raises(ValueError, match="only measured on its key"):
+            if primitive == "apply":
+                apply_local(out, LocalOperator("b", source=[1, 2, 0], phases=np.ones(3)))
+            elif primitive == "probabilities":
+                measurement_probabilities(out, "B")
+            elif primitive == "collapse":
+                collapse(out, "a", 0)
+            else:
+                measure_computational(out, "A", 0)
+
+    def test_shared_rows_give_the_dense_forms_bits_through_every_primitive(self, rng):
+        for _ in range(200):
+            state = random_keyed_layout(rng, shared=True)
+            dense = dense_form(state)
+            K, key_label = state.dims[-1], state.labels[-1]
+            ops = [LocalOperator(key_label, source=rng.permutation(K), phases=random_phases(rng, K))]
+            source = key_keeping_source(rng, state)
+            ops.append(LocalOperator(state.labels[state.rows :], source=source,
+                                     phases=random_phases(rng, source.size)))
+            if state.rows:
+                block = int(np.prod(state.dims[: state.rows]))
+                targets = state.labels[: state.rows]
+                ops.append(LocalOperator(targets[0] if state.rows == 1 else targets,
+                                         source=rng.permutation(block), phases=random_phases(rng, block)))
+            for op in ops:
+                out = apply_local(state, op)
+                assert isinstance(out, KeyedState) and out.rows == state.rows
+                assert_keyed_bits(out, apply_local(dense, op))
+                if op.unit_phases and op.target_labels != state.labels[state.rows :]:
+                    assert np.shares_memory(out.amps, state.amps)  # the rows still share them
+            for label in state.labels:
+                probs = measurement_probabilities(state, label)
+                assert probs.tobytes() == measurement_probabilities(dense, label).tobytes()
+                for outcome in range(state.dim_of(label)):
+                    prob, post = collapse(state, label, outcome)
+                    dense_prob, dense_post = collapse(dense, label, outcome)
+                    assert prob == dense_prob == probs[outcome]
+                    assert_same_slice(post, dense_post)
 
     @pytest.mark.parametrize("targets", ["b", ("B", "b")], ids=["key", "trailing pair"])
     def test_a_monomial_on_the_key_or_keeping_keys_after_the_rows_is_taken(self, rng, targets):
@@ -538,6 +618,27 @@ class TestKeyedState:
     def test_invalid_keyed_states_are_refused(self, rows, key, amps, match):
         with pytest.raises(ValueError, match=match):
             KeyedState((2, 3), ("A", "B"), rows, key, amps)
+
+    @pytest.mark.parametrize("at, amps, factor, match", [
+        ([0, 2], [0.6, 0.8], None, "at must be"),
+        ([-1, 0], [0.6, 0.8], None, "at must be"),
+        ([0], [0.6, 0.8], None, "at must be"),
+        ([0, 0, 1], [0.6, 0.8], None, "at must be"),
+        ([0.0, 1.0], [0.6, 0.8], None, "at must be integers"),
+        ([0, 0], [0.6, 0.8], None, "not normalized"),  # row 0 twice, row 1 never: 0.72
+        ([1, 1], [0.6, np.nan], None, "not normalized"),
+        ([0, 0], [], None, "amplitude vector has length"),
+        (None, [0.6, 0.8], np.eye(3), "factor must be"),
+        (None, [0.6, 0.8], LocalOperator("A", np.eye(2)), "factor must be"),
+    ])
+    def test_invalid_shared_rows_and_factors_are_refused(self, at, amps, factor, match):
+        with pytest.raises(ValueError, match=match):
+            KeyedState((2, 3), ("A", "B"), 1, [0, 1], amps, at, factor)
+
+    def test_rows_that_share_an_amplitude_row_each_count_it(self):
+        state = KeyedState((2, 3), ("A", "B"), 1, [0, 2], [np.sqrt(0.5)], [0, 0])
+        assert state.amps.shape == (1, 1) and state.at.tolist() == [0, 0]
+        assert dense_form(state).amps.tolist() == [np.sqrt(0.5), 0, 0, 0, 0, np.sqrt(0.5)]
 
     def test_keys_and_amplitudes_are_copied_and_read_only(self):
         key, amps = np.array([1, 2]), np.array([0.6, 0.8j])
