@@ -187,14 +187,15 @@ class KeyedState(_Layout):
         key = _indices(self.key, R, K, "keys")
         given = self.at.array if isinstance(self.at, _Owned) else self.at
         if given is None or given is _rows(R):  # one amplitude row each, in order
-            at, amps, shared = _rows(R), _frozen(self.amps, R * L).reshape(R, L), None
+            at, amps = _rows(R), _frozen(self.amps, R * L).reshape(R, L)
+            _check_normalized(amps)
         else:
             amps = _frozen(self.amps)
             if amps.size % L or not amps.size:
                 raise ValueError(f"amplitude vector has length {amps.size}, not a multiple of {L} > 0")
             amps = amps.reshape(-1, L)
-            at = shared = _indices(self.at, R, len(amps), "at")
-        _check_normalized(amps, shared)
+            at = _indices(self.at, R, len(amps), "at")
+            _check_normalized(amps, at)
         factor = self.factor
         if factor is not None and not (isinstance(factor, LocalOperator) and factor.dim == K):
             raise ValueError(f"factor must be a LocalOperator of dimension {K}, the key's")
@@ -457,7 +458,7 @@ def _apply_keyed(state: KeyedState, op: LocalOperator, axes: list[int]) -> Keyed
     factor, so that no amplitude is multiplied before the key is measured.
     Targets are in order; any other operator is refused.
     """
-    (S, L), last, K = state.amps.shape, len(state.dims) - 1, state.dims[-1]
+    L, last, K = state.amps.shape[1], len(state.dims) - 1, state.dims[-1]
     key, at, unit = state.key, state.at, op.unit_phases
     if state.factor is not None:
         raise ValueError(f"{_FACTORED}, not given {op}")
