@@ -78,32 +78,10 @@ def _check_normalized(amps: np.ndarray, at: np.ndarray | None = None) -> None:
         raise ValueError(f"state is not normalized: |amps|^2 = {norm2}")
 
 
-# Every layout checked so far, as (dims, labels) of ints and strs, keyed by itself.  A
-# pair given equal to a key converts to that key: a label equal to a str is that str,
-# and a dimension equal to an int has that int.  So a state of a known layout builds
-# no new tuples.
+# Each layout checked so far, (dims, labels) as ints and strs, keyed by itself.  A pair
+# given equal to a key converts to it (a label equal to a str is that str, a dimension
+# equal to an int has that int), so a state of a known layout builds no new tuples.
 _LAYOUTS: dict[tuple, tuple[tuple[int, ...], tuple[str, ...]]] = {}
-_LAYOUTS_MAX = 1024
-
-
-def _layout(dims, labels) -> tuple[tuple[int, ...], tuple[str, ...]]:
-    """dims and labels as checked tuples of ints and strs, or ValueError."""
-    try:
-        known = _LAYOUTS.get((dims, labels))
-    except TypeError:  # unhashable, such as a list
-        known = None
-    if known is not None:
-        return known
-    dims, labels = tuple(map(int, dims)), tuple(map(str, labels))
-    if len(dims) != len(labels):
-        raise ValueError("dims and labels must have equal length")
-    if min(dims, default=1) < 1:
-        raise ValueError("subsystem dimensions must be >= 1")
-    if len(set(labels)) != len(labels):
-        raise ValueError(f"duplicate subsystem labels in {labels}")
-    if len(_LAYOUTS) < _LAYOUTS_MAX:
-        _LAYOUTS[dims, labels] = dims, labels
-    return dims, labels
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,9 +92,22 @@ class _Layout:
     labels: tuple[str, ...]
 
     def __post_init__(self):
-        dims, labels = _layout(self.dims, self.labels)
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "labels", labels)
+        try:
+            layout = _LAYOUTS.get((self.dims, self.labels))
+        except TypeError:  # unhashable, such as a list
+            layout = None
+        if layout is None:
+            layout = dims, labels = tuple(map(int, self.dims)), tuple(map(str, self.labels))
+            if len(dims) != len(labels):
+                raise ValueError("dims and labels must have equal length")
+            if min(dims, default=1) < 1:
+                raise ValueError("subsystem dimensions must be >= 1")
+            if len(set(labels)) != len(labels):
+                raise ValueError(f"duplicate subsystem labels in {labels}")
+            if len(_LAYOUTS) < 1024:
+                _LAYOUTS[layout] = layout
+        object.__setattr__(self, "dims", layout[0])
+        object.__setattr__(self, "labels", layout[1])
 
     def axis(self, label: str) -> int:
         try:
@@ -398,14 +389,6 @@ class LocalOperator:
         return mat
 
     @cached_property
-    def squared_moduli(self) -> np.ndarray:
-        """|matrix|^2 entry by entry (read-only), built on first read."""
-        mat = self.matrix
-        squared = mat.real**2 + mat.imag**2
-        squared.setflags(write=False)
-        return squared
-
-    @cached_property
     def unit_phases(self) -> bool:
         """True when the operator is given by source and phases and every phase is exactly 1."""
         return self.source is not None and bool((self.phases == 1).all())
@@ -527,7 +510,8 @@ def measurement_probabilities(state: StateVector | KeyedState, label: str) -> np
             rows = (state.amps.view(np.float64) ** 2).reshape(S * span, -1).sum(axis=1)
             rows = rows.reshape(S, span)[state.at]
             if axis == last:  # each key's row weights, spread by |U|^2
-                return state.factor.squared_moduli @ np.bincount(state.key, rows.reshape(-1), d)
+                U = state.factor.matrix
+                return (U.real**2 + U.imag**2) @ np.bincount(state.key, rows.reshape(-1), d)
     else:
         real = state.amps.reshape(-1, state.dims[-1]).view(np.float64)
         if axis == last:

@@ -431,7 +431,7 @@ class TestKeyedState:
             assert out.key.tobytes() == state.key.tobytes()
             assert_keyed_bits(out, apply_local(dense_form(state), op))
 
-    def test_a_dense_operator_on_the_key_is_kept_as_a_factor(self, rng):
+    def test_a_dense_operator_on_the_key_is_one_product_per_amplitude(self, rng):
         for _ in range(200):
             state = random_keyed_layout(rng, shared=rng.random() < 0.5)
             op = LocalOperator(state.labels[-1], random_unitary(state.dims[-1], rng))
