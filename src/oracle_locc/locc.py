@@ -32,7 +32,8 @@ from __future__ import annotations
 import json
 import mmap
 from dataclasses import asdict, dataclass
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
+from math import prod
 from typing import Callable
 
 import numpy as np
@@ -46,6 +47,8 @@ from .quantum import (
     KeyedState,
     LocalOperator,
     StateVector,
+    _check_normalized,
+    _Layout,
     _Owned,
     apply_local,
     entanglement_entropy,
@@ -199,27 +202,56 @@ def _initial_support(f: FunctionTable, input_state: StateVector) -> KeyedState:
 _FRESH_PAGES_BYTES = 4 << 20
 
 
-def _with_ancillas(ab: np.ndarray, n: int, r: int, s: int) -> StateVector:
-    """The (A, a, B, b) state with A, B amplitudes ab (an M x N array) and the ancillas in |r>, |s>.
+class _BlockState(StateVector):
+    """A run's (A, a, B, b) state, held as its M x N A, B block with the ancillas in |r>, |s>.
 
-    Its norm is checked on the M x N block it writes, the only amplitudes
-    that can be nonzero.  A state of _FRESH_PAGES_BYTES or more is built on
-    fresh anonymous pages, so its zeros take no memory, read or not.
+    Its norm is checked on the block, the only amplitudes that can be
+    nonzero.  amps, the dense M * n_f * N * n_f form, is built on first read,
+    as LocalOperator.matrix is; ab_substate reads the block and builds none.
     """
-    M, N = ab.shape
-    shape = (M, n, N, n)
-    nbytes = 16 * M * n * N * n
-    if nbytes < _FRESH_PAGES_BYTES:
-        amps = np.zeros(shape, dtype=np.complex128)
-    else:
-        # Private: an unwritten page then reads as the kernel's zero page; a shared one is allocated.
-        flags = {"flags": mmap.MAP_PRIVATE} if hasattr(mmap, "MAP_PRIVATE") else {}
-        pages = mmap.mmap(-1, nbytes, **flags)
-        if hasattr(mmap, "MADV_NOHUGEPAGE"):  # or huge pages set to "always" fault 2 MB an x
-            pages.madvise(mmap.MADV_NOHUGEPAGE)
-        amps = np.frombuffer(pages, np.complex128).reshape(shape)
-    amps[:, r, :, s] = ab
-    return StateVector(shape, SUBSYSTEM_ORDER, _Owned(amps, block=amps[:, r, :, s]))
+
+    def __init__(self, block: np.ndarray, n: int, r: int, s: int):
+        _check_normalized(block)
+        block = block.view()  # read-only here, whoever else holds the array
+        block.setflags(write=False)
+        M, N = block.shape
+        object.__setattr__(self, "dims", (M, n, N, n))
+        object.__setattr__(self, "labels", SUBSYSTEM_ORDER)
+        object.__setattr__(self, "block", block)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "s", s)
+        _Layout.__post_init__(self)
+
+    @cached_property
+    def amps(self) -> np.ndarray:
+        """The dense amplitudes, read-only, built on first read.
+
+        From _FRESH_PAGES_BYTES they sit on fresh anonymous pages, so their
+        zeros take no memory, read or not.
+        """
+        nbytes = 16 * prod(self.dims)
+        if nbytes < _FRESH_PAGES_BYTES:
+            amps = np.zeros(self.dims, dtype=np.complex128)
+        else:
+            # Private: an unwritten page then reads as the kernel's zero page; a shared one is allocated.
+            flags = {"flags": mmap.MAP_PRIVATE} if hasattr(mmap, "MAP_PRIVATE") else {}
+            try:
+                pages = mmap.mmap(-1, nbytes, **flags)
+            except OSError as exc:
+                raise MemoryError(f"the dense {self.dims} state needs {nbytes} bytes, "
+                                  f"which the kernel refused to map: {exc}") from exc
+            if hasattr(mmap, "MADV_NOHUGEPAGE"):  # or huge pages set to "always" fault 2 MB an x
+                pages.madvise(mmap.MADV_NOHUGEPAGE)
+            amps = np.frombuffer(pages, np.complex128).reshape(self.dims)
+        amps[:, self.r, :, self.s] = self.block
+        amps = amps.reshape(-1)
+        amps.setflags(write=False)
+        return amps
+
+
+# _with_ancillas(ab, n, r, s): the (A, a, B, b) state with A, B amplitudes ab (an M x N
+# array) and the ancillas in |r>, |s>.
+_with_ancillas = _BlockState
 
 
 # --- step operators ------------------------------------------------------
@@ -404,7 +436,8 @@ def execute_script(
     (M + N) * n_f) values.  Step 6's slice is the run's first StateVector.
     A measured ancilla leaves the state (see collapse): the steps after it
     see that label at dimension 1, and the returned state has both ancillas
-    back at dimension n_f, in |r> and |s>.
+    back at dimension n_f, in |r> and |s>, held as its A, B block until its
+    dense form is read (_with_ancillas).
     """
     rng = np.random.default_rng(int(seed))
     script = build_locc_script(f)
@@ -428,15 +461,14 @@ def execute_script(
 def run_bytes(M: int, N: int, n_f: int) -> int:
     """The bytes one run allocates at most, at 16 bytes an amplitude and 8 an index.
 
-    The returned (A, a, B, b) state has M * N * n_f^2 amplitudes, and dominates.  The
-    keyed walk before it holds no more than four arrays of M * N amplitudes and eight
-    words for each entry of the step-1 and step-4 operators, M * n_f and N * n_f of
-    them: under tracemalloc, from _initial_support to step 7, it peaked at 7.0 to 7.5
-    times 16 * M * N bytes at M = N = n_f = 32, 64 and 128.  These are allocated bytes,
-    not resident ones: a returned state of 4 MiB or more is resident only in the pages
-    its M * N nonzero amplitudes fall on (see _with_ancillas).
+    The keyed walk holds no more than four arrays of M * N amplitudes, the last of them
+    the returned state's A, B block, and eight words for each entry of the step-1 and
+    step-4 operators, M * n_f and N * n_f of them: under tracemalloc, from
+    _initial_support to step 7, it peaked at 7.0 to 7.5 times 16 * M * N bytes at
+    M = N = n_f = 32, 64 and 128.  The returned state's dense form, 16 * M * N * n_f^2
+    bytes, is not counted: it is built only when read (see _with_ancillas).
     """
-    return 16 * M * N * n_f * n_f + 4 * 16 * M * N + 8 * 8 * (M + N) * n_f
+    return 4 * 16 * M * N + 8 * 8 * (M + N) * n_f
 
 
 def run_locc(
@@ -446,7 +478,8 @@ def run_locc(
 
     Returns the final four-subsystem state (A, a, B, b with the ancillas
     left in |r> and |s>), the transcript, and the resource ledger.  The
-    A, B part equals apply_oracle(f, input) for every seed.
+    A, B part equals apply_oracle(f, input) for every seed.  The state holds
+    that part alone until its amps are read; ab_substate reads it as it is.
     """
     state, transcript = execute_script(f, input_state, rng_seed, LocalParties(f))
     return state, transcript, transcript.ledger
@@ -518,13 +551,17 @@ def ab_substate(state: StateVector) -> StateVector:
     Raises if either ancilla is not (within tolerance) in a computational
     basis state, since then the A, B part is not a pure state on its own.
     The ancillas' basis states |r>, |s> are read off the first nonzero
-    amplitude; then the [:, r, :, s] slice must carry the whole norm.
+    amplitude, or off a run's returned state, whose dense form is not built;
+    then the [:, r, :, s] slice must carry the whole norm.
     """
     state = reorder(state, SUBSYSTEM_ORDER)
-    amps = state.tensor_view()
-    first = next(row for row in amps if row.any())  # a normalized state has one
-    r, _, s = np.unravel_index(int(np.flatnonzero(first)[0]), first.shape)
-    sliced = amps[:, r, :, s]
+    if isinstance(state, _BlockState):
+        r, s, sliced = state.r, state.s, state.block
+    else:
+        amps = state.tensor_view()
+        first = next(row for row in amps if row.any())  # a normalized state has one
+        r, _, s = np.unravel_index(int(np.flatnonzero(first)[0]), first.shape)
+        sliced = amps[:, r, :, s]
     weight = float(np.vdot(sliced, sliced).real)
     if abs(weight - 1.0) > BASIS_STATE_TOL:
         raise ValueError(f"ancillas are not in a basis state (weight {weight} at a = {r}, b = {s})")

@@ -36,6 +36,7 @@ import struct
 import threading
 import time
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -192,11 +193,6 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _is_number(x) -> bool:
-    """True for a JSON number; JSON true and false are not numbers either."""
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
-
-
 def encode_matrix(values: np.ndarray) -> list:
     """Complex array, matrix or vector, as nested [re, im] pairs for the JSON payload."""
     z = np.asarray(values, dtype=np.complex128)
@@ -206,19 +202,24 @@ def encode_matrix(values: np.ndarray) -> list:
 def decode_matrix(data) -> np.ndarray:
     if not isinstance(data, list) or not data:
         raise WireFormatError("matrix payload must be a nonempty list of rows")
-    if not all(isinstance(row, list) and len(row) == len(data) for row in data):
+    if not (set(map(type, data)) <= {list} and set(map(len, data)) == {len(data)}):
         raise WireFormatError("matrix payload must be square")
-    cells = _decode_pairs([cell for row in data for cell in row], "matrix entries")
+    cells = _decode_pairs(list(chain.from_iterable(data)), "matrix entries")
     return cells.reshape(len(data), len(data))
 
 
 def _decode_pairs(pairs: list, what: str) -> np.ndarray:
-    """A list of [re, im] JSON-number pairs as complex values, bit for bit."""
-    if not all(isinstance(p, list) and len(p) == 2 and _is_number(p[0]) and _is_number(p[1])
-               for p in pairs):
+    """A list of [re, im] JSON-number pairs as complex values, bit for bit.
+
+    Each check is one C-level pass over exact types: on decoded JSON, int
+    is a JSON integer (true and false decode to bool) and a JSON object is a
+    list of tuples (see _is_object).
+    """
+    if not (set(map(type, pairs)) <= {list} and set(map(len, pairs)) <= {2}
+            and set(map(type, chain.from_iterable(pairs))) <= {int, float}):
         raise WireFormatError(f"{what} must be [re, im] pairs of numbers")
     try:
-        return np.array(pairs, np.float64).view(np.complex128).reshape(-1)
+        return np.fromiter(chain.from_iterable(pairs), np.float64, 2 * len(pairs)).view(np.complex128)
     except OverflowError:
         raise WireFormatError(f"{what} must fit in a double") from None
 
@@ -413,6 +414,7 @@ class Referee:
     def _handshake(self, connections: list[Connection]) -> dict[str, Connection]:
         """Read one hello per connection and key the connection by its declared role."""
         by_role: dict[str, Connection] = {}
+        digest = self.f.sha256()
         for conn in connections:
             conn.peer = "a party"  # until its hello names it; never from a frame's text
             msg = conn.recv()
@@ -429,7 +431,7 @@ class Referee:
                     f"{role}'s dims ({payload['m']}, {payload['n']}) differ from "
                     f"the referee's ({self.f.M}, {self.f.N})"
                 )
-            if payload["f_sha256"] != self.f.sha256():
+            if payload["f_sha256"] != digest:
                 raise HandshakeMismatch(f"{role}'s function table differs from the referee's")
             by_role[role] = conn
             conn.peer = role
@@ -521,7 +523,7 @@ class Referee:
         if not (isinstance(source, list) and isinstance(phases, list)
                 and len(source) == len(phases) == d):
             raise WireFormatError(f"OP_REQUEST source and phases must be lists of length {d}")
-        if not all(_is_int(i) for i in source):
+        if not set(map(type, source)) <= {int}:  # one pass; see _decode_pairs
             raise WireFormatError("OP_REQUEST source entries must be integers")
         submitted = _decode_pairs(phases, "OP_REQUEST phases")
         if source != expected.source.tolist():

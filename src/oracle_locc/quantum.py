@@ -43,17 +43,12 @@ _TRACE_CHUNK = 4096
 
 
 class _Owned:
-    """Amplitudes no caller holds a writable reference to: StateVector keeps them uncopied.
+    """Amplitudes no caller holds a writable reference to: StateVector keeps them uncopied."""
 
-    block, if given, views every amplitude of array that can be nonzero (the
-    rest are zero by construction), and StateVector checks the norm on it alone.
-    """
+    __slots__ = ("array",)
 
-    __slots__ = ("array", "block")
-
-    def __init__(self, array: np.ndarray, block: np.ndarray | None = None):
+    def __init__(self, array: np.ndarray):
         self.array = array
-        self.block = block
 
 
 def _frozen(values, size: int | None = None, dtype=np.complex128) -> np.ndarray:
@@ -131,9 +126,8 @@ class StateVector(_Layout):
 
     def __post_init__(self):
         super().__post_init__()
-        block = self.amps.block if isinstance(self.amps, _Owned) else None
         amps = _frozen(self.amps, prod(self.dims))
-        _check_normalized(amps if block is None else block)
+        _check_normalized(amps)
         object.__setattr__(self, "amps", amps)
 
     def tensor_view(self) -> np.ndarray:
@@ -623,10 +617,14 @@ def entanglement_entropy(state: StateVector, cut: Iterable[str]) -> float:
     """Von Neumann entropy (base 2) of the reduced state on `cut`, in ebits.
 
     A cut of dimension 1 (a measured ancilla) has the reduced state [1], so
-    its entropy is exactly 0, not that of the state's norm as rounded.
+    its entropy is exactly 0, not that of the state's norm as rounded, and
+    nothing is traced.  partial_trace refuses any cut that is not a nonempty
+    proper subset of the labels.
     """
-    rho = partial_trace(state, cut)
-    return 0.0 if len(rho) == 1 else von_neumann_entropy(rho)
+    cut = set(cut)
+    if cut and cut < set(state.labels) and prod(map(state.dim_of, cut)) == 1:
+        return 0.0
+    return von_neumann_entropy(partial_trace(state, cut))
 
 
 def von_neumann_entropy(rho: np.ndarray) -> float:

@@ -6,6 +6,7 @@ import socket
 import struct
 import subprocess
 import sys
+import time
 import tracemalloc
 from collections import Counter
 
@@ -196,6 +197,12 @@ class TestVerify:
         captured = capsys.readouterr()
         failed = [c["name"] for c in json.loads(captured.out)["checks"] if not c["passed"]]
         assert failed == ["resource_ledger_accounting"]
+
+    def test_the_ledger_check_never_builds_a_dense_returned_state(self, monkeypatch, capsys):
+        monkeypatch.setattr(locc._BlockState, "amps", property(lambda state: pytest.fail("densified")))
+        assert cli("verify", "--seed", "3") == 0
+        report = json.loads(capsys.readouterr().out)
+        assert [c["passed"] for c in report["checks"] if c["name"] == "resource_ledger_accounting"] == [True]
 
     def test_missing_table_file_is_a_usage_error(self, capsys, tmp_path):
         assert cli("verify", "--f", str(tmp_path / "absent.json")) == 2
@@ -401,6 +408,21 @@ class TestRunBudget:
         assert captured.out == ""
         assert captured.err == (f"error: a run of this table needs {footprint} bytes, "
                                 f"over the {footprint - 1}-byte cap\n")
+
+    def test_a_128_by_128_permutation_runs_in_under_a_second(self, tmp_path, capsys, monkeypatch):
+        # The returned state's dense form, 4.3 GB, is never built: run prints the transcript alone.
+        monkeypatch.setattr(locc._BlockState, "amps", property(lambda state: pytest.fail("densified")))
+        M = 128
+        f = FunctionTable(M, M, tuple((5 * x + 3) % M for x in range(M)))
+        table = tmp_path / "permutation128.json"
+        table.write_text(f.to_json())
+        assert run_bytes(M, M, M) <= cli_module.MAX_RUN_BYTES
+        start = time.perf_counter()
+        assert cli("run", "--f", str(table), "--seed", "5") == 0
+        elapsed = time.perf_counter() - start
+        state = quantum.random_state((M, M), ("A", "B"), np.random.default_rng(5))
+        assert capsys.readouterr().out == locc.run_locc(f, state, 5)[1].to_json() + "\n"
+        assert elapsed < 1.0, f"run took {elapsed:.2f} s"
 
     def test_other_protocols_take_no_budget(self, monkeypatch, capsys):
         monkeypatch.setattr(cli_module, "MAX_RUN_BYTES", 0)

@@ -1,14 +1,19 @@
 """Distributed protocol: step operators, state evolution, transcripts, ledger."""
 
+import errno
 import hashlib
 import json
+import mmap
 import os
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from oracle_locc import locc
 from oracle_locc.locc import (
     BASIS_STATE_TOL,
     OWNERS,
@@ -483,7 +488,7 @@ class TestSupportPath:
         assert peak < 8 * 16 * M * M
 
     @pytest.mark.parametrize("M, N, n_f", [(32, 32, 32), (128, 4, 4), (16, 128, 16), (128, 16, 16)])
-    def test_the_keyed_walk_stays_within_run_bytes_less_the_returned_state(self, M, N, n_f):
+    def test_a_run_stays_within_run_bytes(self, M, N, n_f):
         rng = np.random.default_rng(M + N)
         values = rng.choice(N, size=n_f, replace=False)
         picks = np.concatenate([np.arange(n_f), rng.integers(0, n_f, size=M - n_f)])
@@ -492,11 +497,13 @@ class TestSupportPath:
         build_partition(f), step5_operator(f)
         tracemalloc.start()
         try:
-            walk(f, _initial_support(f, inp), 1, LocalParties(f))
+            final, _, _ = run_locc(f, inp, 1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= run_bytes(M, N, n_f) - 16 * M * N * n_f * n_f
+        # The keyed walk and the returned state's block; its dense form is not built.
+        assert "amps" not in vars(final)
+        assert peak <= run_bytes(M, N, n_f)
 
     def test_steps_3_and_4_move_the_m_n_amplitudes_left_once_a_is_measured(self):
         M = 32
@@ -523,7 +530,8 @@ def resident_bytes() -> int:
 
 
 class TestWithAncillas:
-    """The returned state: fresh zero pages from _FRESH_PAGES_BYTES, its norm checked on the block."""
+    """The returned state: its block, and its dense form on first read, on fresh zero pages from
+    _FRESH_PAGES_BYTES; its norm checked on the block."""
 
     @pytest.mark.parametrize("M", [8, 32])
     def test_equals_the_zeros_scatter_on_each_side_of_the_threshold(self, M):
@@ -560,6 +568,63 @@ class TestWithAncillas:
         hashlib.sha256(final.amps)  # reads every page; a read must not allocate a zero page
         grown = resident_bytes() - before
         assert grown < 32 << 20, f"resident memory grew {grown / 2**20:.0f} MiB after a full read"
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="reads Linux's /proc/self/statm")
+    def test_a_large_run_maps_nothing_until_its_amps_are_read(self, monkeypatch):
+        M = 64
+        f = FunctionTable(M, M, tuple((5 * x + 3) % M for x in range(M)))
+        inp = random_state((M, M), ("A", "B"), np.random.default_rng(64))
+        maps = []
+        real_mmap = mmap.mmap
+        monkeypatch.setattr(mmap, "mmap", lambda *args, **kw: maps.append(args) or real_mmap(*args, **kw))
+        run_locc(f, inp, 0)  # the allocator now holds the run's transient arrays
+        before = resident_bytes()
+        final, transcript, _ = run_locc(f, inp, 1)
+        grown = resident_bytes() - before
+        assert grown < 1 << 20, f"resident memory grew {grown / 2**20:.2f} MiB"
+        assert maps == [] and "amps" not in vars(final)
+        assert isinstance(final, StateVector) and final.dims == (M, M, M, M)
+        block = final.block
+        expected = np.zeros((M, M, M, M), dtype=np.complex128)
+        expected[:, transcript.r, :, transcript.s] = block
+        assert hashlib.sha256(final.amps).digest() == hashlib.sha256(expected).digest()
+        assert maps == [(-1, 256 << 20)]
+        for view in (final.amps, final.tensor_view()):
+            with pytest.raises(ValueError, match="read-only"):
+                view[0] = 1.0
+        assert final.amps is final.amps  # built once
+
+    def test_threads_reading_the_dense_form_first_get_the_same_bytes(self):
+        ab = random_state((32, 32), ("A", "B"), np.random.default_rng(3)).tensor_view()
+        expected = np.zeros((32, 32, 32, 32), dtype=np.complex128)
+        expected[:, 4, :, 9] = ab
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                state = _with_ancillas(ab, 32, 4, 9)
+                read = []
+                threads = [threading.Thread(target=lambda: read.append(state.amps)) for _ in range(4)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=10)
+                assert not any(t.is_alive() for t in threads)
+                assert [a.tobytes() == expected.tobytes() for a in read] == [True] * 4
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_a_map_the_kernel_refuses_is_one_memory_error_naming_the_bytes(self, monkeypatch):
+        def refuse(*args, **kw):
+            raise OSError(errno.ENOMEM, "Cannot allocate memory")
+
+        monkeypatch.setattr(mmap, "mmap", refuse)
+        ab = random_state((32, 32), ("A", "B"), np.random.default_rng(3)).tensor_view()
+        state = _with_ancillas(ab, 32, 4, 9)  # the block alone: nothing is mapped yet
+        assert ab_substate(state).amps.tobytes() == (ab.reshape(-1) / np.linalg.norm(ab)).tobytes()
+        with pytest.raises(MemoryError, match=r"needs 16777216 bytes, which the kernel refused") as caught:
+            state.amps
+        assert not isinstance(caught.value, OSError)
 
 
 class TestRunLocc:
@@ -860,6 +925,17 @@ class TestAbSubstate:
         sliced = final.tensor_view()[:, transcript.r, :, transcript.s]
         expected = from_amps((3, 3), ("A", "B"), sliced.reshape(-1), normalize=True)
         assert ab_substate(final).amps.tobytes() == expected.amps.tobytes()
+
+    def test_a_runs_returned_state_gives_its_block_without_the_dense_form(self, monkeypatch):
+        monkeypatch.setattr(locc._BlockState, "amps", property(lambda state: pytest.fail("densified")))
+        for M, n_f, seed in [(3, 2, 4), (8, 5, 0), (32, 32, 1)]:
+            f = n_valued_table(M, n_f, np.random.default_rng(M))
+            inp = random_state((M, M), ("A", "B"), np.random.default_rng(seed))
+            final, transcript, _ = run_locc(f, inp, seed)
+            sliced = final.block  # the dense form's [:, r, :, s] slice, by bits (TestWithAncillas)
+            expected = from_amps((M, M), ("A", "B"), sliced.reshape(-1), normalize=True)
+            assert ab_substate(final).amps.tobytes() == expected.amps.tobytes()
+            assert fidelity(ab_substate(final), apply_oracle(f, inp)) > 1 - 1e-12
 
     def test_tolerance_is_tight(self):
         assert BASIS_STATE_TOL == 1e-10

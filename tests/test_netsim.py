@@ -46,7 +46,7 @@ from oracle_locc.netsim import (
     serve_socket,
 )
 from oracle_locc.oracle import FunctionTable, identity_table
-from oracle_locc.quantum import random_state
+from oracle_locc.quantum import LocalOperator, random_state
 
 from conftest import random_unitary
 
@@ -56,7 +56,103 @@ def frame_of(body: str) -> bytes:
     return struct.pack("<I", len(raw)) + raw
 
 
+def per_entry_decode_pairs(pairs: list) -> np.ndarray:
+    """_decode_pairs as a Python test of each entry: the reference its C-level passes must match."""
+    def number(x):
+        return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+    if not all(isinstance(p, list) and len(p) == 2 and number(p[0]) and number(p[1]) for p in pairs):
+        raise WireFormatError("not [re, im] pairs of numbers")
+    try:
+        return np.array(pairs, np.float64).view(np.complex128).reshape(-1)
+    except OverflowError:
+        raise WireFormatError("does not fit in a double") from None
+
+
+def per_entry_source_check(source: list) -> bool:
+    """The referee's integer scan of a source as a Python test of each entry."""
+    return all(isinstance(i, int) and not isinstance(i, bool) for i in source)
+
+
+def source_outcome(source: list) -> str:
+    """What the referee makes of a step-3 request with this source and unit phases."""
+    expected = LocalOperator("b", source=[2, 0, 1], phases=np.ones(3))
+    try:
+        Referee._monomial_phases({"source": source, "phases": encode_matrix(np.ones(3))},
+                                 "step3_bob_shift", expected)
+    except WireFormatError as exc:
+        return "integers" if "entries must be integers" in str(exc) else str(exc)
+    except ProtocolOrderError:
+        return "not the scripted source"
+    return "taken"
+
+
+def wire_decoded(value):
+    """value as the wire decodes it: through JSON text, objects as lists of (key, value) tuples."""
+    return json.loads(json.dumps(value), object_pairs_hook=list)
+
+
+# Anything JSON can hold, with ints past a double's range and NaN and infinities among the floats.
+JSON_LEAVES = (st.none() | st.booleans() | st.integers() | st.integers(10**300, 10**400)
+               | st.floats() | st.text(max_size=2))
+JSON_VALUES = st.recursive(JSON_LEAVES, lambda children: st.lists(children, max_size=3)
+                           | st.dictionaries(st.text(max_size=2), children, max_size=3), max_leaves=8)
+# Mostly pairs of numbers, the rest near-pairs or any JSON value, so that about half the lists pass.
+PAIR_NUMBERS = st.integers() | st.floats() | st.integers(10**300, 10**400)
+PAIR_LIKE = st.one_of(*[st.lists(PAIR_NUMBERS, min_size=2, max_size=2)] * 4,
+                      st.lists(JSON_LEAVES, min_size=1, max_size=3), JSON_VALUES)
+HOSTILE_PAIRS = [
+    ([[1, True]], "a bool"), ([["1", 0.0]], "a string"), ([[None, 0.0]], "null"),
+    ([{"re": 1.0, "im": 0.0}], "an object, decoded as a list of tuples"),
+    ([[1.0]], "a short pair"), ([[1.0, 0.0, 0.0]], "a long pair"), ([[10**400, 0]], "an overflowing int"),
+    ([[0.0, 1.0], 1.0], "a bare number"), ([[[0.0], 1.0]], "a nested list"),
+]
+
+
 class TestWireCodec:
+    @pytest.mark.parametrize("pairs", [case for case, _ in HOSTILE_PAIRS], ids=[i for _, i in HOSTILE_PAIRS])
+    def test_a_hostile_pair_is_refused(self, pairs):
+        decoded = wire_decoded(pairs)
+        with pytest.raises(WireFormatError, match="phases must"):
+            _decode_pairs(decoded, "phases")
+        with pytest.raises(WireFormatError):
+            per_entry_decode_pairs(decoded)
+
+    def test_pairs_of_ints_floats_and_non_finite_numbers_are_accepted(self):
+        decoded = wire_decoded([[1, -0.0], [10**300, float("nan")], [float("-inf"), 5e-324]])
+        assert _decode_pairs(decoded, "phases").tobytes() == per_entry_decode_pairs(decoded).tobytes()
+
+    @given(st.lists(PAIR_LIKE, max_size=4))
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    def test_pairs_are_taken_and_refused_as_a_per_entry_check_does(self, pairs):
+        decoded = wire_decoded(pairs)
+        try:
+            expected = per_entry_decode_pairs(decoded).tobytes()
+        except WireFormatError:
+            expected = None
+        try:
+            got = _decode_pairs(decoded, "phases").tobytes()
+        except WireFormatError:
+            got = None
+        assert got == expected
+
+    @pytest.mark.parametrize("source, outcome", [
+        ([2, 0, 1], "taken"), ([2, 0, 10**400], "not the scripted source"), ([2, 0, True], "integers"),
+        ([2, 0, 1.0], "integers"), ([2, 0, "1"], "integers"), ([2, 0, None], "integers"),
+        ([2, 0, {"i": 1}], "integers"), ([2, 0, [1]], "integers"),
+    ])
+    def test_a_source_entry_that_is_not_an_integer_is_refused(self, source, outcome):
+        assert source_outcome(wire_decoded(source)) == outcome
+
+    @given(st.lists(JSON_LEAVES | JSON_VALUES | st.sampled_from([0, 1, 2]), min_size=3, max_size=3))
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    def test_a_source_is_taken_and_refused_as_a_per_entry_check_does(self, source):
+        source = wire_decoded(source)
+        if not per_entry_source_check(source):
+            assert source_outcome(source) == "integers"
+        else:
+            assert source_outcome(source) == ("taken" if source == [2, 0, 1] else "not the scripted source")
+
     def test_round_trip_every_kind(self):
         samples = [
             WireMessage(1, "alice", "CLASSICAL_VALUE", {"value": 3, "bits": 2}),
@@ -656,6 +752,17 @@ class TestRefereeEnforcement:
                 conn.recv()
         error = str(net.referee_error())
         assert wrong in error and right not in error
+
+    def test_handshake_hashes_the_table_once(self, monkeypatch):
+        f = identity_table(2)
+        digest, sha256, calls = f.sha256(), FunctionTable.sha256, []
+        monkeypatch.setattr(FunctionTable, "sha256", lambda table: calls.append(table) or sha256(table))
+        ends = [QueueChannel.pair(1.0) for _ in range(2)]
+        for role, (_, party) in zip(("alice", "bob"), ends):
+            Connection(party, role).send("HANDSHAKE", {"role": role, "m": 2, "n": 2, "f_sha256": digest})
+        referee = Referee(f, random_state((2, 2), ("A", "B"), 0), 0)
+        by_role = referee._handshake([Connection(side, "referee") for side, _ in ends])
+        assert sorted(by_role) == ["alice", "bob"] and calls == [f]
 
     def test_handshake_wrong_role(self):
         net = RefereeHarness(identity_table(2))
